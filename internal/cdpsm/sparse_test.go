@@ -1,13 +1,11 @@
 package cdpsm
 
 import (
-	"math"
 	"testing"
 
 	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
-	"edr/internal/solver"
 )
 
 // maskedInstance draws a feasible wide-area instance whose latency mask has
@@ -27,102 +25,17 @@ func maskedInstance(t *testing.T, r *sim.Rand, clients, replicas int) *opt.Probl
 	return nil
 }
 
-func TestCDPSMAutoOnFullIsDenseBitForBit(t *testing.T) {
-	// On a fully-feasible instance SparseAuto must take the dense path, so
-	// Auto and Off agree bit-for-bit by construction.
-	r := sim.NewRand(31)
-	prob, err := probgen.MustFeasible(r, probgen.Spec{Clients: 6, Replicas: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prob.Sparsity().Full {
-		t.Skip("cluster instance unexpectedly masked")
-	}
-	auto, err := (&Solver{Sparse: opt.SparseAuto}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := (&Solver{Sparse: opt.SparseOff}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Iterations != off.Iterations || auto.Objective != off.Objective {
-		t.Fatalf("Auto (iters=%d obj=%v) != Off (iters=%d obj=%v)",
-			auto.Iterations, auto.Objective, off.Iterations, off.Objective)
-	}
-	for c := range auto.Assignment {
-		for n := range auto.Assignment[c] {
-			if auto.Assignment[c][n] != off.Assignment[c][n] {
-				t.Fatalf("assignment differs at [%d][%d]", c, n)
-			}
-		}
-	}
-}
-
-func TestCDPSMSparseMatchesDenseMasked(t *testing.T) {
-	// Dense and sparse CDPSM run the same iteration on the same local sets;
-	// only the finite-sweep projection iterates differ (the packed projector
-	// restricts the column halfspace to the support). Both runs therefore
-	// land on the same optimum up to solver tolerance.
-	r := sim.NewRand(37)
-	for trial := 0; trial < 4; trial++ {
-		prob := maskedInstance(t, r, 6, 4)
-		dense, err := (&Solver{Sparse: opt.SparseOff}).Solve(prob)
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		sparse, err := (&Solver{Sparse: opt.SparseAuto}).Solve(prob)
-		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
-		}
-		if err := solver.Verify(prob, sparse, 1e-4); err != nil {
-			t.Fatalf("trial %d: sparse result infeasible: %v", trial, err)
-		}
-		gap := math.Abs(dense.Objective - sparse.Objective)
-		if gap > 1e-9*(1+math.Abs(dense.Objective)) {
-			t.Fatalf("trial %d: objective gap %g (dense %v sparse %v)",
-				trial, gap, dense.Objective, sparse.Objective)
-		}
-	}
-}
-
-func TestCDPSMForceOnFullToleranceEquivalent(t *testing.T) {
-	// SparseForce runs the packed kernels even on a full mask; incremental
-	// column sums change FP summation order, so equivalence is tolerance-
-	// bounded rather than bitwise.
-	r := sim.NewRand(41)
-	prob, err := probgen.MustFeasible(r, probgen.Spec{Clients: 5, Replicas: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := (&Solver{Sparse: opt.SparseOff}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := (&Solver{Sparse: opt.SparseForce}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solver.Verify(prob, forced, 1e-4); err != nil {
-		t.Fatal(err)
-	}
-	gap := math.Abs(dense.Objective - forced.Objective)
-	if gap > 1e-9*(1+math.Abs(dense.Objective)) {
-		t.Fatalf("objective gap %g (dense %v forced %v)", gap, dense.Objective, forced.Objective)
-	}
-}
-
 func TestCDPSMSparseParallelSerialBitForBit(t *testing.T) {
 	// Each agent writes only its own packed estimate and the projector's
 	// incremental sums are chunking-independent, so fanning the agents
 	// across cores must not change a single bit.
 	r := sim.NewRand(43)
 	prob := maskedInstance(t, r, 12, 5)
-	serial, err := (&Solver{Sparse: opt.SparseForce, Parallelism: -1, MaxIters: 300}).Solve(prob)
+	serial, err := (&Solver{Parallelism: -1, MaxIters: 300}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&Solver{Sparse: opt.SparseForce, Parallelism: 4, MaxIters: 300}).Solve(prob)
+	parallel, err := (&Solver{Parallelism: 4, MaxIters: 300}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +56,7 @@ func TestCDPSMSparseCommCountsNNZ(t *testing.T) {
 	r := sim.NewRand(47)
 	prob := maskedInstance(t, r, 8, 4)
 	sp := prob.Sparsity()
-	res, err := (&Solver{Sparse: opt.SparseForce, MaxIters: 50}).Solve(prob)
+	res, err := (&Solver{MaxIters: 50}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}

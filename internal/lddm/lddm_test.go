@@ -158,17 +158,20 @@ func TestNormalizeRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := [][]float64{{2, 3}, {0, 0}}
-	out := normalizeRows(prob, x)
-	if s := out[0][0] + out[0][1]; math.Abs(s-10) > 1e-9 {
-		t.Fatalf("row 0 normalized to %g, want 10", s)
+	sp := prob.Sparsity()
+	if !sp.Full {
+		t.Fatal("cluster instance unexpectedly masked")
 	}
-	if out[1][0] != 0 || out[1][1] != 0 {
-		t.Fatalf("zero row rescaled: %v", out[1])
+	// Row 0 serves 5 of its 10 MB and rescales to {4, 6}; the zero row
+	// stays zero.
+	v := sp.Gather(nil, [][]float64{{2, 3}, {0, 0}})
+	got := packedNormalizedCost(prob, sp, v, make([]float64, 2), make([]float64, 2))
+	if want := prob.Cost([][]float64{{4, 6}, {0, 0}}); math.Abs(got-want) > 1e-9*(1+want) {
+		t.Fatalf("normalized cost %g, want %g", got, want)
 	}
 	// Input untouched.
-	if x[0][0] != 2 {
-		t.Fatal("normalizeRows mutated input")
+	if v[0] != 2 || v[1] != 3 {
+		t.Fatal("packedNormalizedCost mutated input")
 	}
 }
 

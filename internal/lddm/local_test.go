@@ -8,17 +8,22 @@ import (
 	"edr/internal/sim"
 )
 
+// localProblem builds a local problem whose replica may serve every client.
 func localProblem(price float64, mu, demands []float64) *LocalProblem {
-	allowed := make([]bool, len(mu))
-	for i := range allowed {
-		allowed[i] = true
-	}
 	return &LocalProblem{
 		Replica: model.NewReplica("r", price),
 		Mu:      mu,
 		Demands: demands,
-		Allowed: allowed,
+		Clients: allClients(len(mu)),
 	}
+}
+
+func allClients(c int) []int {
+	clients := make([]int, c)
+	for i := range clients {
+		clients[i] = i
+	}
+	return clients
 }
 
 func TestSolveLocalAllZeroMu(t *testing.T) {
@@ -89,17 +94,20 @@ func TestSolveLocalStopsAtBreakEven(t *testing.T) {
 }
 
 func TestSolveLocalMaskedClient(t *testing.T) {
-	lp := localProblem(1, []float64{-1e6, -1e6}, []float64{10, 10})
-	lp.Allowed[0] = false
+	// Client 0 is outside the latency bound, so it is absent from the
+	// client list; the result carries one entry, for client 1. Client 0's
+	// lower μ must not claim any of the capacity.
+	lp := localProblem(1, []float64{-2e6, -1e6}, []float64{10, 10})
+	lp.Clients = []int{1}
 	p, err := SolveLocal(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p[0] != 0 {
-		t.Fatalf("masked client served %g", p[0])
+	if len(p) != 1 {
+		t.Fatalf("got %d entries for a 1-client list", len(p))
 	}
-	if math.Abs(p[1]-10) > 1e-9 {
-		t.Fatalf("allowed client got %g", p[1])
+	if math.Abs(p[0]-10) > 1e-9 {
+		t.Fatalf("allowed client got %g", p[0])
 	}
 }
 
@@ -110,6 +118,11 @@ func TestSolveLocalValidate(t *testing.T) {
 	}
 	if _, err := SolveLocal(&LocalProblem{}); err == nil {
 		t.Fatal("empty local problem accepted")
+	}
+	lp = localProblem(1, []float64{0}, []float64{1})
+	lp.Clients = nil
+	if _, err := SolveLocal(lp); err == nil {
+		t.Fatal("missing client list accepted")
 	}
 }
 
@@ -141,17 +154,19 @@ func TestSolveLocalMatchesPGDProperty(t *testing.T) {
 		c := 1 + r.Intn(6)
 		mu := make([]float64, c)
 		demands := make([]float64, c)
-		allowed := make([]bool, c)
+		clients := []int{}
 		for i := 0; i < c; i++ {
 			mu[i] = r.Range(-40, 5)
 			demands[i] = r.Range(1, 30)
-			allowed[i] = r.Float64() < 0.85
+			if r.Float64() < 0.85 {
+				clients = append(clients, i)
+			}
 		}
 		lp := &LocalProblem{
 			Replica: model.NewReplica("r", float64(r.IntBetween(1, 20))),
 			Mu:      mu,
 			Demands: demands,
-			Allowed: allowed,
+			Clients: clients,
 		}
 		exact, err := SolveLocal(lp)
 		if err != nil {
@@ -165,8 +180,8 @@ func TestSolveLocalMatchesPGDProperty(t *testing.T) {
 		fApprox := LocalObjective(lp, approx)
 		// The exact solver must never be worse than PGD (beyond noise).
 		if fExact > fApprox+1e-3*(1+math.Abs(fApprox)) {
-			t.Fatalf("trial %d: water-filling %g worse than PGD %g\nmu=%v demands=%v allowed=%v",
-				trial, fExact, fApprox, mu, demands, allowed)
+			t.Fatalf("trial %d: water-filling %g worse than PGD %g\nmu=%v demands=%v clients=%v",
+				trial, fExact, fApprox, mu, demands, clients)
 		}
 	}
 }
@@ -178,17 +193,15 @@ func TestSolveLocalKKTProperty(t *testing.T) {
 		c := 1 + r.Intn(5)
 		mu := make([]float64, c)
 		demands := make([]float64, c)
-		allowed := make([]bool, c)
 		for i := 0; i < c; i++ {
 			mu[i] = r.Range(-30, 2)
 			demands[i] = r.Range(1, 25)
-			allowed[i] = true
 		}
 		lp := &LocalProblem{
 			Replica: model.NewReplica("r", float64(r.IntBetween(1, 20))),
 			Mu:      mu,
 			Demands: demands,
-			Allowed: allowed,
+			Clients: allClients(c),
 		}
 		p, err := SolveLocal(lp)
 		if err != nil {

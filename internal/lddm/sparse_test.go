@@ -1,7 +1,6 @@
 package lddm
 
 import (
-	"math"
 	"testing"
 
 	"edr/internal/model"
@@ -31,85 +30,56 @@ func maskedInstanceSpec(t *testing.T, r *sim.Rand, spec probgen.Spec) *opt.Probl
 }
 
 func TestSolveLocalPackedMatchesDense(t *testing.T) {
+	// A client outside the latency bound is absent from the packed client
+	// list. Water-filling over the full list with that client's demand
+	// zeroed must serve it nothing and give every other client bit for bit
+	// the packed result: omission and zero demand are the same constraint.
 	r := sim.NewRand(53)
 	for trial := 0; trial < 30; trial++ {
 		c := r.IntBetween(1, 12)
 		rep := model.NewReplica("r", r.Range(1, 20))
 		rep.Bandwidth = r.Range(20, 120)
-		lp := &LocalProblem{
-			Replica: rep,
-			Mu:      make([]float64, c),
-			Demands: make([]float64, c),
-			Allowed: make([]bool, c),
-		}
-		clients := []int{}
+		mu := make([]float64, c)
+		demands := make([]float64, c)
+		zeroed := make([]float64, c)
+		var clients []int
 		for i := 0; i < c; i++ {
-			lp.Mu[i] = r.Range(-2, 2)
-			lp.Demands[i] = r.Range(0, 30)
-			lp.Allowed[i] = r.Float64() < 0.7
-			if lp.Allowed[i] {
+			mu[i] = r.Range(-2, 2)
+			demands[i] = r.Range(0, 30)
+			if r.Float64() < 0.7 {
 				clients = append(clients, i)
+				zeroed[i] = demands[i]
 			}
 		}
-		dense, err := SolveLocal(lp)
+		if clients == nil {
+			clients = []int{}
+		}
+		packed, err := SolveLocal(&LocalProblem{Replica: rep, Mu: mu, Demands: demands, Clients: clients})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp.Clients = clients
-		packed, err := SolveLocalPacked(lp)
+		dense, err := SolveLocal(&LocalProblem{Replica: rep, Mu: mu, Demands: zeroed, Clients: allClients(c)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for idx, i := range clients {
-			if packed[idx] != dense[i] {
-				t.Fatalf("trial %d: packed[%d]=%v, dense[%d]=%v", trial, idx, packed[idx], i, dense[i])
-			}
-		}
+		next := 0
 		for i, v := range dense {
-			if !lp.Allowed[i] && v != 0 {
-				t.Fatalf("trial %d: dense wrote masked client %d", trial, i)
+			if next < len(clients) && clients[next] == i {
+				if packed[next] != v {
+					t.Fatalf("trial %d: packed[%d]=%v, full list[%d]=%v", trial, next, packed[next], i, v)
+				}
+				next++
+			} else if v != 0 {
+				t.Fatalf("trial %d: omitted client %d served %v", trial, i, v)
 			}
 		}
-	}
-}
-
-func TestLDDMSparseIteratesBitForBitWithDense(t *testing.T) {
-	// The packed water-filling, μ updates and suffix averaging preserve the
-	// dense op order over exact zeros, so Force and Off runs must record
-	// identical histories and iteration counts on a masked instance.
-	r := sim.NewRand(59)
-	prob := maskedInstance(t, r, 10, 4)
-	dense, err := (&Solver{Sparse: opt.SparseOff, MaxIters: 400}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := (&Solver{Sparse: opt.SparseForce, MaxIters: 400}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Iterations != sparse.Iterations {
-		t.Fatalf("iterations: dense %d, sparse %d", dense.Iterations, sparse.Iterations)
-	}
-	for k := range dense.History {
-		if dense.History[k] != sparse.History[k] {
-			t.Fatalf("history diverges at iteration %d: %v vs %v", k+1, dense.History[k], sparse.History[k])
-		}
-	}
-	// Final assignments go through different (equivalent) projectors; they
-	// agree to projection tolerance, as do the objectives.
-	if err := solver.Verify(prob, sparse, 1e-4); err != nil {
-		t.Fatal(err)
-	}
-	gap := math.Abs(dense.Objective - sparse.Objective)
-	if gap > 1e-9*(1+math.Abs(dense.Objective)) {
-		t.Fatalf("objective gap %g (dense %v sparse %v)", gap, dense.Objective, sparse.Objective)
 	}
 }
 
 func TestLDDMSparseMatchesCentral(t *testing.T) {
 	r := sim.NewRand(61)
 	prob := maskedInstance(t, r, 8, 4)
-	res, err := (&Solver{Sparse: opt.SparseAuto}).Solve(prob)
+	res, err := New().Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +91,11 @@ func TestLDDMSparseMatchesCentral(t *testing.T) {
 func TestLDDMSparseParallelSerialBitForBit(t *testing.T) {
 	r := sim.NewRand(67)
 	prob := maskedInstanceSpec(t, r, probgen.Spec{Clients: 40, Replicas: 6, Geo: true, DemandLo: 1, DemandHi: 6})
-	serial, err := (&Solver{Sparse: opt.SparseForce, Parallelism: -1, MaxIters: 500}).Solve(prob)
+	serial, err := (&Solver{Parallelism: -1, MaxIters: 500}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&Solver{Sparse: opt.SparseForce, Parallelism: 4, MaxIters: 500}).Solve(prob)
+	parallel, err := (&Solver{Parallelism: 4, MaxIters: 500}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +115,7 @@ func TestLDDMSparseCommCountsNNZ(t *testing.T) {
 	r := sim.NewRand(71)
 	prob := maskedInstance(t, r, 8, 4)
 	nnz := prob.Sparsity().NNZ()
-	res, err := (&Solver{Sparse: opt.SparseForce, MaxIters: 100}).Solve(prob)
+	res, err := (&Solver{MaxIters: 100}).Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}

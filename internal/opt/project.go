@@ -246,56 +246,3 @@ func ProjectHalfspaceSumLE(x []float64, b float64) {
 		x[i] -= shift
 	}
 }
-
-// MaskZero zeroes the coordinates of x where allowed is false — the
-// latency-feasibility pattern p_{c,n} = 0 for l_{c,n} > T.
-func MaskZero(x []float64, allowed []bool) {
-	if len(x) != len(allowed) {
-		panic("opt: MaskZero length mismatch")
-	}
-	for i := range x {
-		if !allowed[i] {
-			x[i] = 0
-		}
-	}
-}
-
-// ProjectMaskedCappedSimplex projects x onto
-// {y : Σy = s, 0 ≤ y_i ≤ u_i, y_i = 0 where !allowed_i} in place.
-func ProjectMaskedCappedSimplex(x, u []float64, allowed []bool, s float64) error {
-	if len(x) != len(allowed) {
-		panic("opt: ProjectMaskedCappedSimplex length mismatch")
-	}
-	// Work on the allowed sub-vector; forbidden coordinates are fixed at 0.
-	idx := make([]int, 0, len(x))
-	for i, ok := range allowed {
-		if ok {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
-		if s > 1e-12 {
-			return fmt.Errorf("opt: no feasible coordinate for required sum %g", s)
-		}
-		for i := range x {
-			x[i] = 0
-		}
-		return nil
-	}
-	sub := make([]float64, len(idx))
-	subU := make([]float64, len(idx))
-	for k, i := range idx {
-		sub[k] = x[i]
-		subU[k] = u[i]
-	}
-	if err := ProjectCappedSimplex(sub, subU, s); err != nil {
-		return err
-	}
-	for i := range x {
-		x[i] = 0
-	}
-	for k, i := range idx {
-		x[i] = sub[k]
-	}
-	return nil
-}

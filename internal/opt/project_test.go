@@ -284,11 +284,11 @@ func TestCappedAgreesWithPlainWhenCapsSlack(t *testing.T) {
 
 func TestProjectHalfspaceSumLE(t *testing.T) {
 	x := []float64{3, 3}
-	ProjectHalfspaceSumLE(x, 10)
+	projectHalfspaceSumLE(x, 10)
 	if x[0] != 3 || x[1] != 3 {
 		t.Fatalf("interior point moved: %v", x)
 	}
-	ProjectHalfspaceSumLE(x, 4)
+	projectHalfspaceSumLE(x, 4)
 	if math.Abs(sum(x)-4) > 1e-12 {
 		t.Fatalf("sum = %g, want 4", sum(x))
 	}
@@ -297,19 +297,11 @@ func TestProjectHalfspaceSumLE(t *testing.T) {
 	}
 }
 
-func TestMaskZero(t *testing.T) {
-	x := []float64{1, 2, 3}
-	MaskZero(x, []bool{true, false, true})
-	if x[0] != 1 || x[1] != 0 || x[2] != 3 {
-		t.Fatalf("MaskZero = %v", x)
-	}
-}
-
 func TestProjectMaskedCappedSimplex(t *testing.T) {
 	x := []float64{5, 5, 5}
 	u := []float64{10, 10, 10}
 	allowed := []bool{true, false, true}
-	if err := ProjectMaskedCappedSimplex(x, u, allowed, 6); err != nil {
+	if err := projectMaskedCappedSimplex(x, u, allowed, 6); err != nil {
 		t.Fatal(err)
 	}
 	if x[1] != 0 {
@@ -325,12 +317,12 @@ func TestProjectMaskedCappedSimplex(t *testing.T) {
 
 func TestProjectMaskedCappedSimplexAllMasked(t *testing.T) {
 	x := []float64{1, 1}
-	err := ProjectMaskedCappedSimplex(x, []float64{5, 5}, []bool{false, false}, 3)
+	err := projectMaskedCappedSimplex(x, []float64{5, 5}, []bool{false, false}, 3)
 	if err == nil {
 		t.Fatal("required sum with no allowed coordinates accepted")
 	}
 	// Zero sum with no allowed coordinates is fine.
-	if err := ProjectMaskedCappedSimplex(x, []float64{5, 5}, []bool{false, false}, 0); err != nil {
+	if err := projectMaskedCappedSimplex(x, []float64{5, 5}, []bool{false, false}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if x[0] != 0 || x[1] != 0 {

@@ -9,8 +9,8 @@ import (
 // packed CSR layout: it projects packed iterates onto the intersection of
 // the per-client capped simplexes {Σ_n p = R_c, 0 ≤ p ≤ R_c} and the
 // per-replica capacity halfspaces {Σ_c p ≤ bound_n}, all restricted to the
-// mask support. Three structural facts make it cheaper than the dense
-// generic Dykstra:
+// mask support. Three structural facts make it cheaper than a generic
+// matrix Dykstra:
 //
 //   - row projections operate on contiguous row segments of the packed
 //     vector — no gather, no per-call allocation;
@@ -25,6 +25,10 @@ import (
 //
 // A projector is built once per (sparsity, demands, bounds) triple and
 // reused across Project calls; it is not safe for concurrent use.
+//
+// Dykstra's correction terms (unlike plain alternating projections) make
+// the limit the true nearest point of the intersection, which the
+// optimization theory for projected (sub)gradient methods requires.
 type SparseProjector struct {
 	sp      *Sparsity
 	demands []float64
@@ -40,6 +44,24 @@ type SparseProjector struct {
 	rowDist2 []float64   // per-row squared movement for the membership check
 	caps     [][]float64 // per-chunk sort scratch for the row simplex projections
 	scratch  [][]float64 // per-chunk row-copy scratch for membership checks
+}
+
+// DykstraOptions tunes the alternating-projection loop.
+type DykstraOptions struct {
+	// MaxSweeps bounds full passes over all sets. Default 200.
+	MaxSweeps int
+	// Tol stops once the iterate is within Tol (Frobenius) of every set.
+	// Default 1e-9.
+	Tol float64
+}
+
+func (o *DykstraOptions) defaults() {
+	if o.MaxSweeps <= 0 {
+		o.MaxSweeps = 200
+	}
+	if o.Tol <= 0 {
+		o.Tol = 1e-9
+	}
 }
 
 // NewSparseProjector builds a projector over sp with per-client demands and
@@ -194,7 +216,9 @@ func (pj *SparseProjector) colPhase(v []float64) {
 
 // converged reports whether v is within tol of every set: column
 // memberships read off the maintained sums in O(N), row memberships project
-// per-row scratch copies (the same membership test the dense Dykstra runs).
+// per-row scratch copies. Membership is checked directly rather than by
+// per-sweep movement: Dykstra's iterate can sit still for several sweeps
+// while correction terms are still accumulating.
 // Squared row movements accumulate per row and reduce in ascending row
 // order, keeping the stop decision chunk-independent.
 func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
@@ -245,8 +269,7 @@ func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 
 // FinishRows projects every row of v exactly onto its capped simplex (no
 // corrections), so the demand equalities hold exactly even when Dykstra
-// stopped on the column set — the packed counterpart of the dense final
-// row pass.
+// stopped on the column set.
 func (pj *SparseProjector) FinishRows(v []float64) error {
 	sp := pj.sp
 	return pj.par.ForBalancedErr(sp.C, sp.RowStart, func(chunk, lo, hi int) error {
@@ -267,13 +290,22 @@ func (pj *SparseProjector) FinishRows(v []float64) error {
 	})
 }
 
-// ProjectFeasibleSp projects dense x onto the feasible region of prob via
-// the packed sparse projector: off-support entries are zeroed (the
-// projection onto the mask subspace — the feasible set lies inside it), the
-// packed iterate is Dykstra-projected with incrementally maintained column
-// sums, rows get a final exact pass, and the result is scattered back and
-// verified like the dense path.
-func ProjectFeasibleSp(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
+// ProjectFeasible projects x in place onto the feasible region of prob —
+// the per-client masked capped simplexes {Σ_n p_{c,n} = R_c, 0 ≤ p ≤ R_c,
+// mask} intersected with the per-replica capacity halfspaces
+// {Σ_c p_{c,n} ≤ B_n}, exactly the constraint set of Eq. 2 — then verifies
+// the result. tol bounds the acceptable residual violation.
+func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
+	return ProjectFeasiblePar(prob, x, tol, nil)
+}
+
+// ProjectFeasiblePar is ProjectFeasible with the row sweeps fanned over par
+// (nil = serial, identical results). It runs on the packed projector:
+// off-support entries are zeroed (the projection onto the mask subspace —
+// the feasible set lies inside it), the packed iterate is Dykstra-projected
+// with incrementally maintained column sums, and rows get a final exact
+// pass so demands hold exactly even if Dykstra stopped on the column set.
+func ProjectFeasiblePar(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
 	if tol <= 0 {
 		tol = 1e-6
 	}
@@ -284,6 +316,9 @@ func ProjectFeasibleSp(prob *Problem, x [][]float64, tol float64, par *Parallel)
 	}
 	pj := NewSparseProjector(sp, prob.Demands, bounds, par)
 	v := sp.Gather(nil, x)
+	// The row/column sets can meet at a shallow angle when capacities are
+	// tight, making Dykstra's linear rate slow; sweeps are cheap (O(nnz))
+	// so a generous bound is the right trade.
 	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 5000, Tol: tol / 10}); err != nil {
 		return err
 	}

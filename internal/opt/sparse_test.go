@@ -104,15 +104,8 @@ func TestSparsityFullMask(t *testing.T) {
 	if !sp.Full || sp.NNZ() != 4 {
 		t.Fatalf("full mask: full=%v nnz=%d", sp.Full, sp.NNZ())
 	}
-	if SparseAuto.Enabled(sp) {
-		t.Fatal("SparseAuto picked sparse kernels on a full mask")
-	}
-	if !SparseForce.Enabled(sp) || SparseOff.Enabled(sp) {
-		t.Fatal("Force/Off dispatch wrong")
-	}
-	masked := NewSparsity(maskOf([]bool{true, false}))
-	if !SparseAuto.Enabled(masked) {
-		t.Fatal("SparseAuto skipped sparse kernels on a masked instance")
+	if masked := NewSparsity(maskOf([]bool{true, false})); masked.Full || masked.NNZ() != 1 {
+		t.Fatalf("masked: full=%v nnz=%d", masked.Full, masked.NNZ())
 	}
 }
 
@@ -215,10 +208,10 @@ func TestProjectFeasibleSpMatchesDense(t *testing.T) {
 		p, x := sparseTestInstance(t, r, r.IntBetween(3, 12), r.IntBetween(2, 5))
 		dense := Clone(x)
 		sparse := Clone(x)
-		if err := ProjectFeasibleMode(p, dense, 1e-6, nil, SparseOff); err != nil {
+		if err := projectFeasibleDense(p, dense, 1e-6); err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		if err := ProjectFeasibleSp(p, sparse, 1e-6, nil); err != nil {
+		if err := ProjectFeasiblePar(p, sparse, 1e-6, nil); err != nil {
 			t.Fatalf("trial %d sparse: %v", trial, err)
 		}
 		if v := p.Violation(sparse); v > 1e-6 {
@@ -240,14 +233,14 @@ func TestProjectFeasibleSpParallelSerialBitForBit(t *testing.T) {
 	p, x := sparseTestInstance(t, r, 60, 8)
 	serial := Clone(x)
 	parallel := Clone(x)
-	if err := ProjectFeasibleSp(p, serial, 1e-6, nil); err != nil {
+	if err := ProjectFeasiblePar(p, serial, 1e-6, nil); err != nil {
 		t.Fatal(err)
 	}
 	par := NewParallel(4)
 	if par == nil {
 		t.Skip("single-core host")
 	}
-	if err := ProjectFeasibleSp(p, parallel, 1e-6, par); err != nil {
+	if err := ProjectFeasiblePar(p, parallel, 1e-6, par); err != nil {
 		t.Fatal(err)
 	}
 	for c := range serial {

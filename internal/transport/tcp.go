@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -28,6 +29,7 @@ type tcpNode struct {
 
 	mu     sync.Mutex
 	closed bool
+	stop   chan struct{} // closed by Close; ends an accept back-off early
 	wg     sync.WaitGroup
 }
 
@@ -46,19 +48,47 @@ func (n *TCPNetwork) Listen(addr string, h Handler) (Node, error) {
 	if to == 0 {
 		to = 5 * time.Second
 	}
-	node := &tcpNode{listener: l, handler: h, dialTO: to}
+	return serve(l, h, to), nil
+}
+
+// serve starts a node accepting on l; Close stops it.
+func serve(l net.Listener, h Handler, dialTO time.Duration) *tcpNode {
+	node := &tcpNode{listener: l, handler: h, dialTO: dialTO, stop: make(chan struct{})}
 	node.wg.Add(1)
 	go node.acceptLoop()
-	return node, nil
+	return node
 }
+
+// Accept back-off bounds: a failed Accept other than a closed listener
+// (EMFILE when the process is out of file descriptors, ECONNABORTED, ...)
+// is retried after a delay doubling from the first to the cap, as
+// net/http.Server.Serve does, so one transient failure cannot leave a live
+// process unreachable.
+const (
+	acceptBackoffFirst = 5 * time.Millisecond
+	acceptBackoffMax   = time.Second
+)
 
 func (nd *tcpNode) acceptLoop() {
 	defer nd.wg.Done()
+	var delay time.Duration
 	for {
 		conn, err := nd.listener.Accept()
 		if err != nil {
-			return // listener closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			delay = min(max(2*delay, acceptBackoffFirst), acceptBackoffMax)
+			t := time.NewTimer(delay)
+			select {
+			case <-nd.stop:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+			continue
 		}
+		delay = 0
 		nd.wg.Add(1)
 		go func() {
 			defer nd.wg.Done()
@@ -146,6 +176,7 @@ func (nd *tcpNode) Close() error {
 	}
 	nd.closed = true
 	nd.mu.Unlock()
+	close(nd.stop)
 	err := nd.listener.Close()
 	nd.wg.Wait()
 	return err

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -100,6 +102,73 @@ func TestTCPCloseStopsServing(t *testing.T) {
 	// Double close is fine.
 	if err := server.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flakyListener fails its first Accept with a non-closed error, then hands
+// out conns, then reports net.ErrClosed once closed.
+type flakyListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+	failed bool // touched only by the accept loop
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if !l.failed {
+		l.failed = true
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *flakyListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+func TestTCPAcceptSurvivesTransientError(t *testing.T) {
+	l := &flakyListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+	node := serve(l, echoHandler, time.Second)
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	if err := peer.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case l.conns <- conn:
+	case <-time.After(5 * time.Second):
+		t.Fatal("accept loop stopped after a transient Accept error")
+	}
+	req, _ := NewMessage("ping", "peer", "hello")
+	if err := WriteFrame(peer, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadFrame(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	if err := resp.DecodeBody(&body); err != nil || body != "hello" {
+		t.Fatalf("resp body = %s err = %v", resp.Body, err)
+	}
+	peer.Close() // ends serveConn so Close can wait for it
+	done := make(chan error, 1)
+	go func() { done <- node.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not stop the accept loop")
 	}
 }
 
