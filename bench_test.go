@@ -431,10 +431,8 @@ func BenchmarkMaxFlowFeasibility(b *testing.B) {
 }
 
 // BenchmarkMatrixWireBytes round-trips the frame CDPSM pulls from every
-// peer every iteration — a full 100×10 estimate matrix — through both body
-// codecs, reporting bytes/frame for each. The binary codec is the default
-// for matrix-bearing verbs; JSON remains the fallback for pre-codec peers
-// (-wire-json). The bytes/frame ratio is the per-iteration wire saving.
+// peer every iteration — a full 100×10 estimate matrix — through the
+// binary body codec every engine verb ships, reporting bytes/frame.
 func BenchmarkMatrixWireBytes(b *testing.B) {
 	r := sim.NewRand(7)
 	est := make([][]float64, 100)
@@ -476,13 +474,6 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 		}
 		if len(msg.Bin) == 0 {
 			b.Fatal("estimate reply did not take the binary codec")
-		}
-		bench(b, msg)
-	})
-	b.Run("JSON", func(b *testing.B) {
-		msg, err := transport.NewJSONMessage("cdpsm.estimate.ack", "replica1", body)
-		if err != nil {
-			b.Fatal(err)
 		}
 		bench(b, msg)
 	})

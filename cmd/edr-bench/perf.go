@@ -138,12 +138,9 @@ type solverPerf struct {
 
 type wirePerf struct {
 	// One estimate frame: the |C|×|N| matrix reply CDPSM pulls per peer.
-	BinaryFrameBytes int     `json:"binary_frame_bytes"`
-	JSONFrameBytes   int     `json:"json_frame_bytes"`
-	Ratio            float64 `json:"json_over_binary"`
+	BinaryFrameBytes int `json:"binary_frame_bytes"`
 	// One CDPSM iteration fleet-wide: every agent pulls from N-1 peers.
 	BinaryBytesPerIteration int `json:"binary_bytes_per_iteration"`
-	JSONBytesPerIteration   int `json:"json_bytes_per_iteration"`
 	// Kinded-frame mix of one live CDPSM round on an in-process fleet
 	// (masked instance, 25 iterations): how many estimate replies shipped
 	// as full, sparse, and delta frames, and the delta hit rate
@@ -254,9 +251,8 @@ func runPerf(outDir string, seed uint64, baseline string) error {
 		return err
 	}
 	report.Wire = wire
-	fmt.Printf("perf wire   estimate frame %d B binary vs %d B json (%.2fx); per CDPSM iteration %d B vs %d B\n",
-		wire.BinaryFrameBytes, wire.JSONFrameBytes, wire.Ratio,
-		wire.BinaryBytesPerIteration, wire.JSONBytesPerIteration)
+	fmt.Printf("perf wire   estimate frame %d B; per CDPSM iteration %d B\n",
+		wire.BinaryFrameBytes, wire.BinaryBytesPerIteration)
 	fmt.Printf("perf delta  live round frames: %d full / %d sparse / %d delta (hit rate %.2f)\n",
 		wire.FullFrames, wire.SparseFrames, wire.DeltaFrames, wire.DeltaHitRate)
 
@@ -951,8 +947,7 @@ func measureSparseCohort(seed uint64) (*sparseCohortPerf, error) {
 	return sc, nil
 }
 
-// measureWire frames one C×N estimate reply through both codecs and
-// extrapolates to a full CDPSM iteration (N agents each pulling N-1
+// measureWire frames one C×N estimate reply and extrapolates to a full CDPSM iteration (N agents each pulling N-1
 // peer estimates).
 func measureWire(c, n int) (wirePerf, error) {
 	r := sim.NewRand(7)
@@ -962,34 +957,16 @@ func measureWire(c, n int) (wirePerf, error) {
 			est[i][j] = r.Range(0, 40)
 		}
 	}
-	body := cdpsm.EstimateReply{Estimate: est}
-	frame := func(msg transport.Message, err error) (int, error) {
-		if err != nil {
-			return 0, err
-		}
-		var buf bytes.Buffer
-		if err := transport.WriteFrame(&buf, msg); err != nil {
-			return 0, err
-		}
-		return buf.Len(), nil
-	}
-	bin, err := frame(transport.NewMessage("cdpsm.estimate.ack", "replica1", body))
+	msg, err := transport.NewMessage("cdpsm.estimate.ack", "replica1", cdpsm.EstimateReply{Estimate: est})
 	if err != nil {
 		return wirePerf{}, err
 	}
-	js, err := frame(transport.NewJSONMessage("cdpsm.estimate.ack", "replica1", body))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := transport.WriteFrame(&buf, msg); err != nil {
 		return wirePerf{}, err
 	}
-	pulls := n * (n - 1)
-	w := wirePerf{
-		BinaryFrameBytes:        bin,
-		JSONFrameBytes:          js,
-		BinaryBytesPerIteration: bin * pulls,
-		JSONBytesPerIteration:   js * pulls,
-	}
-	if bin > 0 {
-		w.Ratio = float64(js) / float64(bin)
-	}
-	return w, nil
+	return wirePerf{
+		BinaryFrameBytes:        buf.Len(),
+		BinaryBytesPerIteration: buf.Len() * n * (n - 1),
+	}, nil
 }

@@ -59,7 +59,6 @@ func main() {
 
 		// Round hot-path performance knobs.
 		parallelism = flag.Int("parallelism", 0, "solver-kernel worker count (0 = GOMAXPROCS, -1 = serial)")
-		wireJSON    = flag.Bool("wire-json", false, "force JSON bodies on initiated RPCs (disable the compact binary codec; for pre-codec peers)")
 
 		// Client-scale cohort aggregation (internal/cohort): rounds with at
 		// least -cohort-min pending requests merge clients sharing a
@@ -69,7 +68,6 @@ func main() {
 		cohortMin     = flag.Int("cohort-min", 0, "pending-request threshold that enables cohort aggregation (0 disables)")
 		cohortQuantum = flag.Duration("cohort-quantum", 0, "latency quantization step for cohort keying (0 = T/4)")
 		cohortMax     = flag.Int("cohort-max", 0, "cohort-count bound, enforced by coarsening the quantum (0 = unbounded)")
-		cohortDuals   = flag.Bool("cohort-duals", false, "fan each cohort's final dual μ out to every member (client.duals.cohort)")
 
 		// Cross-round incremental re-optimization: diff each round against
 		// the committed one and re-solve only the clients that drifted,
@@ -148,13 +146,11 @@ func main() {
 		RetryBase:    *retryBase,
 		RoundRetries: *roundRetries,
 		Parallelism:  *parallelism,
-		WireJSON:     *wireJSON,
 		Telemetry:    bus,
 
 		CohortMinClients: *cohortMin,
 		CohortQuantumSec: cohortQuantum.Seconds(),
 		CohortMax:        *cohortMax,
-		CohortDuals:      *cohortDuals,
 
 		Incremental: *incremental,
 		DeltaEps:    *deltaEps,

@@ -5,10 +5,9 @@ import "edr/internal/transport"
 // Compact binary codecs (transport binary body v1) for the CDPSM verbs.
 // The estimate exchange is the round's dominant traffic — every step pulls
 // a full |C|×|N| matrix from each peer — so all five bodies speak the
-// binary codec and the small requests carry it too: a reply mirrors its
-// request's codec (transport.NewReply), so a binary EstimateBody is what
-// makes the matrix-bearing EstimateReply come back binary. Per the wire
-// convention, every request body leads with its u32 LE round id.
+// binary codec and the small requests carry it too: the replica
+// dispatcher routes engine requests by the u32 LE round id every binary
+// request body leads with, and rejects any other body.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
 	out := transport.AppendUint32(nil, uint32(b.Round))

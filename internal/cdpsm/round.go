@@ -150,8 +150,10 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
 	c, n := a.rd.Prob.C(), a.rd.Prob.N()
 	nReplicas := len(a.rd.ReplicaAddrs)
-	sum := opt.NewMatrix(c, n) // freshly allocated: escapes into the report
-	var mu sync.Mutex
+	// Replies land in arrival order; summing them in column order keeps
+	// the round's result independent of scheduling (float addition is not
+	// associative).
+	estimates := make([][][]float64, nReplicas)
 	err := d.Exec(ctx, a.rd, engine.Exchange{
 		Verb:  MsgEstimate,
 		Class: engine.Replicas,
@@ -164,14 +166,16 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 			if err := checkShape(reply.Estimate, c, n); err != nil {
 				return fmt.Errorf("cdpsm: estimate from %s: %w", a.rd.ReplicaAddrs[j], err)
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			opt.Add(sum, reply.Estimate)
+			estimates[j] = reply.Estimate
 			return nil
 		},
 	})
 	if err != nil {
 		return nil, err
+	}
+	sum := opt.NewMatrix(c, n) // freshly allocated: escapes into the report
+	for _, e := range estimates {
+		opt.Add(sum, e)
 	}
 	opt.Scale(sum, 1/float64(nReplicas))
 	if err := opt.ProjectFeasiblePar(a.rd.Prob, sum, 1e-6, a.rd.Par); err != nil {
@@ -263,7 +267,6 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		return handleStep(ctx, &body, sr)
 	case MsgEstimate:
 		var body EstimateBody
-		body.Base = -1 // absent in legacy JSON bodies means "no base held"
 		if err := req.Decode(&body); err != nil {
 			return nil, err
 		}

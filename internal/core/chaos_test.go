@@ -10,6 +10,7 @@ import (
 	"edr/internal/membership"
 	"edr/internal/model"
 	"edr/internal/opt"
+	"edr/internal/telemetry"
 	"edr/internal/transport"
 )
 
@@ -311,6 +312,64 @@ func TestDegradedRoundFallsBackToLastGood(t *testing.T) {
 	}
 	if len(report.ReplicaAddrs) != 3 {
 		t.Fatalf("healed round used %d replicas, want all 3", len(report.ReplicaAddrs))
+	}
+}
+
+// TestDegradedRoundInstallsPlan: a degraded round's install lands on the
+// first attempt at every reachable replica — the install creates the
+// round's participant state, so no round start has to precede it — and
+// none of the round's RPC retries is an install retry.
+func TestDegradedRoundInstallsPlan(t *testing.T) {
+	bus := telemetry.NewBus()
+	rec := &busRecorder{}
+	defer bus.Subscribe(rec.handle)()
+	f := newChaosFleet(t, []float64{1, 4, 9}, 2, 7, func(cfg *ReplicaConfig) {
+		cfg.RPCTimeout = 30 * time.Millisecond
+		cfg.SendRetries = 1
+		cfg.RetryBase = time.Millisecond
+		cfg.RoundRetries = -1
+		cfg.Telemetry = bus
+	})
+	ctx := context.Background()
+	for round := 1; round <= 2; round++ {
+		if round == 2 {
+			f.net.Partition([]string{"r3"}, []string{"r1", "r2"})
+		}
+		for _, cl := range f.clients {
+			f.submit(t, cl, 20)
+		}
+		if _, err := f.replicas[0].RunRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := f.replicas[0].LastReport()
+	if !report.Degraded {
+		t.Fatal("partitioned round did not degrade")
+	}
+	for j, addr := range report.ReplicaAddrs {
+		var rs *ReplicaServer
+		for _, cand := range f.replicas {
+			if cand.Addr() == addr {
+				rs = cand
+			}
+		}
+		for i, c := range report.ClientAddrs {
+			if got, want := rs.Plan(report.Round, c), report.Assignment[i][j]; got != want {
+				t.Errorf("%s plans %g MB for %s in degraded round %d, want %g", addr, got, c, report.Round, want)
+			}
+		}
+	}
+	retries := 0
+	for _, e := range rec.snapshot() {
+		if ev, ok := e.(telemetry.RPCRetried); ok {
+			retries++
+			if ev.Verb == MsgAssign {
+				t.Errorf("install to %s retried (attempt %d)", ev.Peer, ev.Attempt)
+			}
+		}
+	}
+	if got := f.replicas[0].Stats.SendRetried.Value(); got != int64(retries) {
+		t.Fatalf("SendRetried = %d, but %d retries were published", got, retries)
 	}
 }
 

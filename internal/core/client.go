@@ -65,8 +65,6 @@ func (c *Client) handle(ctx context.Context, req transport.Message) (transport.M
 		return c.handleAllocation(req)
 	case MsgCohortAllocation:
 		return c.handleCohortAllocation(req)
-	case MsgCohortDuals:
-		return c.handleCohortDuals(req)
 	default:
 		return transport.Message{}, fmt.Errorf("core: client %s: unknown message type %q", c.Addr(), req.Type)
 	}
@@ -85,7 +83,7 @@ func (c *Client) handleMuUpdate(req transport.Message) (transport.Message, error
 	c.mus[key] = mu
 	c.mu.Unlock()
 	c.Stats.MuUpdates.Inc(1)
-	return transport.NewReply(req, MsgMuUpdate+".ack", c.Addr(), MuUpdateReply{Mu: mu})
+	return transport.NewMessage(MsgMuUpdate+".ack", c.Addr(), MuUpdateReply{Mu: mu})
 }
 
 // handleAllocation records the round outcome for WaitAllocation.
@@ -104,26 +102,9 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
-// handleCohortDuals installs the cohort's final dual as this client's μ
-// for the round. The value is absolute, not a step: non-representative
-// members never receive in-round μ-updates, so the cohort's price simply
-// replaces whatever (zero) accumulator the round key holds.
-func (c *Client) handleCohortDuals(req transport.Message) (transport.Message, error) {
-	var body CohortDualsBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
-	}
-	key := fmt.Sprintf("%s/%d", req.From, body.Round)
-	c.mu.Lock()
-	c.mus[key] = body.Mu
-	c.mu.Unlock()
-	c.Stats.MuUpdates.Inc(1)
-	return transport.NewReply(req, MsgCohortDuals+".ack", c.Addr(), MuUpdateReply{Mu: body.Mu})
-}
-
 // handleCohortAllocation expands a cohort-level allocation into this
 // client's own per-replica split (unit share × own demand) and records it
-// like a legacy allocation — WaitAllocation callers see no difference.
+// like a per-client allocation — WaitAllocation callers see no difference.
 // The demand is the client's own last-submitted figure: cohort members
 // split cohort load proportionally to demand, so the unit vector times
 // R_c reproduces the member row the initiator installed (a client that
@@ -157,7 +138,7 @@ func (c *Client) handleCohortAllocation(req transport.Message) (transport.Messag
 	select {
 	case c.alloc <- alloc:
 	default:
-		// Drop rather than block the initiator, as with legacy allocations.
+		// Drop rather than block the initiator, as with per-client allocations.
 	}
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }

@@ -124,18 +124,6 @@ type ReplicaConfig struct {
 	// while its allocation row moved by at most DeltaEps of its demand.
 	// 0 means 1e-3; negative pins exact matching (any change is dirty).
 	DeltaEps float64
-	// CohortDuals opts cohorted rounds into fanning the final cohort dual
-	// out to every cohort member via client.duals.cohort, instead of only
-	// the representative member seeing μ through the iteration protocol.
-	// Members that do not know the verb receive a legacy μ-update that
-	// reproduces the same value.
-	CohortDuals bool
-	// WireJSON forces JSON bodies for every RPC this node initiates,
-	// disabling the compact binary codec on the wire. Peers always mirror
-	// a request's codec in their replies, so a JSON-only node
-	// interoperates with binary-capable peers either way; the knob exists
-	// for wire compatibility with pre-codec builds and for debugging.
-	WireJSON bool
 	// Telemetry, when non-nil, receives runtime events (round outcomes,
 	// RPC retries, ring suspicion — see internal/telemetry). Nil disables
 	// observability at zero cost: every would-be publish is a single nil

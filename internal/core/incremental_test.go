@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"edr/internal/opt"
-	"edr/internal/transport"
 )
 
 // drainAllocations empties every client's allocation channel so a later
@@ -195,92 +193,6 @@ func TestIncrementalReplicaChangePromotesClients(t *testing.T) {
 	}
 	if math.Abs(total-75) > 1e-6 {
 		t.Fatalf("total served = %g, want 75", total)
-	}
-}
-
-// Cohort duals: with CohortDuals enabled, every non-representative cohort
-// member receives the cohort's final μ (ADMM is the dual-reporting
-// algorithm). Without the flag, only representatives see duals.
-func TestCohortDualsFanOut(t *testing.T) {
-	f := newFleetCfg(t, []float64{1, 10, 5}, 4, ADMM, func(i int, cfg *ReplicaConfig) {
-		cfg.CohortMinClients = 2
-		cfg.CohortDuals = true
-	})
-	ctx := context.Background()
-	// Identical latencies and equal demands: all four clients form one
-	// cohort whose representative is the first member.
-	for _, cl := range f.clients {
-		if err := cl.Submit(ctx, f.replicas[0].Addr(), 20, f.uniformLatencies()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	report, err := f.replicas[0].RunRound(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Cohorts != 1 {
-		t.Fatalf("cohorts = %d, want 1", report.Cohorts)
-	}
-	key := fmt.Sprintf("%s/%d", f.replicas[0].Addr(), report.Round)
-	var mus []float64
-	for _, cl := range f.clients {
-		cl.mu.Lock()
-		mu, ok := cl.mus[key]
-		cl.mu.Unlock()
-		if !ok {
-			t.Fatalf("client %s holds no μ for round key %s", cl.Addr(), key)
-		}
-		mus = append(mus, mu)
-	}
-	// One cohort → one shared dual on every member.
-	for i := 1; i < len(mus); i++ {
-		if mus[i] != mus[0] {
-			t.Fatalf("member μ diverged: %v", mus)
-		}
-	}
-}
-
-// The legacy fallback (a single step-1 μ-update with served=μ, demand=0)
-// must land the same absolute value MsgCohortDuals would, pinning the
-// wire-compat contract documented on the verb.
-func TestCohortDualsLegacyFallbackEquivalent(t *testing.T) {
-	net := transport.NewInProcNetwork()
-	mkClient := func(name string) *Client {
-		cl, err := NewClient(net, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	modern, legacy := mkClient("modern"), mkClient("legacy")
-	ctx := context.Background()
-	const mu, round = 3.75, 7
-
-	msg, err := transport.NewMessage(MsgCohortDuals, "replicaX", CohortDualsBody{Round: round, Mu: mu})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := modern.handle(ctx, msg); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := transport.NewMessage(MsgMuUpdate, "replicaX", MuUpdateBody{Round: round, Step: 1, ServedMB: mu, DemandMB: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.handle(ctx, fb); err != nil {
-		t.Fatal(err)
-	}
-
-	key := fmt.Sprintf("replicaX/%d", round)
-	modern.mu.Lock()
-	a := modern.mus[key]
-	modern.mu.Unlock()
-	legacy.mu.Lock()
-	b := legacy.mus[key]
-	legacy.mu.Unlock()
-	if a != mu || b != mu {
-		t.Fatalf("μ mismatch: cohort verb %g, legacy fallback %g, want %g", a, b, mu)
 	}
 }
 

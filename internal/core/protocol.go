@@ -43,8 +43,7 @@ const (
 	MsgAllocation = "client.allocation"
 	// MsgCohortAllocation is initiator → client on cohorted rounds: deliver
 	// the client's cohort-level allocation (shared per-unit split + member
-	// demands) in one message built once per cohort. Clients that do not
-	// know the verb reject it and receive the legacy MsgAllocation instead.
+	// demands) in one message built once per cohort.
 	MsgCohortAllocation = "client.allocation.cohort"
 	// MsgAllocationPull is client → initiator: fetch the caller's row of
 	// the last committed round. Change-suppressed rounds deliberately skip
@@ -54,11 +53,9 @@ const (
 	// an answer. Such a client polls this verb until the reply's Round
 	// passes the watermark its submission ack reported.
 	MsgAllocationPull = "client.allocation.pull"
-	// MsgCohortDuals is initiator → client on cohorted rounds (opt-in via
-	// ReplicaConfig.CohortDuals): deliver the cohort's final dual μ to
-	// every member, not just the representative the iteration protocol
-	// routed through. Clients that do not know the verb reject it and
-	// receive a legacy μ-update reproducing the same value instead.
+	// MsgCohortDuals named the initiator → client fan-out of a cohort's
+	// final dual μ. It is no longer sent: nothing read the value. The name
+	// stays reserved so traffic classifiers keep recognising it.
 	MsgCohortDuals = "client.duals.cohort"
 	// MsgDownload is client → replica: fetch the selected bytes.
 	MsgDownload = "download.request"
@@ -165,16 +162,18 @@ type RoundSpec struct {
 	Warm [][]float64 `json:"warm,omitempty"`
 }
 
-// AssignBody installs the final per-replica serving plan. Two forms:
-// the full form carries the replica's whole column (Column/ClientAddrs),
-// while the delta form (BaseRound > 0) tells the replica to start from
-// the plan it installed for BaseRound and apply only Updates — the
-// incremental path's change-suppressed install, which shrinks the
-// steady-state fan-out from O(|C|) to O(dirty). A replica holding no
-// state for BaseRound rejects the delta, failing the round into its
-// usual restart/escalation path; the initiator only sends deltas against
-// a round it installed on every member, so that means the member lost
-// state (restart) and the full solve re-seeds it.
+// AssignBody installs the final per-replica serving plan, creating the
+// replica's state for Round if no round start preceded it (incremental
+// and degraded rounds install without one). Two forms: the full form
+// carries the replica's whole column (Column/ClientAddrs) and must name
+// at least one client, while the delta form (BaseRound > 0) tells the
+// replica to start from the plan it installed for BaseRound and apply
+// only Updates — the incremental path's change-suppressed install, which
+// shrinks the steady-state fan-out from O(|C|) to O(dirty). A replica
+// holding no plan for BaseRound rejects the delta, failing the round into
+// its usual restart/escalation path; the initiator only sends deltas
+// against a round it installed on every member, so that means the member
+// lost state (restart) and the full solve re-seeds it.
 type AssignBody struct {
 	Round int `json:"round"`
 	// Column[c] is the MB this replica serves to client c (row order of
@@ -219,16 +218,6 @@ type CohortAllocationBody struct {
 	// UnitMB[t] is the fraction of a member's demand served by Replicas[t]
 	// (sums to 1 when the cohort carries load).
 	UnitMB []float64 `json:"unit_mb"`
-}
-
-// CohortDualsBody delivers a cohort's final dual to one member. μ is a
-// per-unit congestion price shared by every member of a cohort (they are
-// interchangeable rows of the transportation polytope), so one scalar per
-// member suffices and the body is built once per cohort.
-type CohortDualsBody struct {
-	Round int `json:"round"`
-	// Mu is the cohort's final multiplier μ for this round.
-	Mu float64 `json:"mu"`
 }
 
 // DownloadBody requests bytes from a replica.

@@ -11,11 +11,22 @@ import (
 // rawSeq disambiguates prober node names across sendRaw calls.
 var rawSeq int
 
-// sendRaw delivers an arbitrary message to a fleet member.
+// sendRaw delivers an arbitrary body to a fleet member.
 func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
 	t.Helper()
+	msg, err := transport.NewMessage(msgType, "", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sendRawMsg(t, f, to, msg)
+}
+
+// sendRawMsg delivers a prebuilt message to a fleet member from a fresh
+// prober node.
+func sendRawMsg(t *testing.T, f *fleet, to string, msg transport.Message) (transport.Message, error) {
+	t.Helper()
 	rawSeq++
-	name := fmt.Sprintf("raw-%d-%s", rawSeq, msgType)
+	name := fmt.Sprintf("raw-%d-%s", rawSeq, msg.Type)
 	node, err := f.net.Listen(name, func(ctx context.Context, m transport.Message) (transport.Message, error) {
 		return transport.Message{Type: "ok"}, nil
 	})
@@ -23,10 +34,7 @@ func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (trans
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	msg, err := transport.NewMessage(msgType, node.Name(), body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg.From = node.Name()
 	return node.Send(context.Background(), to, msg)
 }
 
@@ -38,17 +46,18 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		body    any
 	}{
 		{MsgClientRequest, "not an object"},
-		{MsgClientRequest, RequestBody{}},                 // empty addr/demand
-		{MsgClientRequest, RequestBody{ClientAddr: "x"}},  // zero demand
-		{MsgRoundStart, "garbage"},                        // undecodable
-		{MsgRoundStart, RoundSpec{Round: 1}},              // empty spec
-		{MsgLocalSolve, LocalSolveBody{Round: 99}},        // unknown round
-		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},          // unknown round
-		{MsgCDPSMEstimate, CDPSMEstimateBody{Round: 99}},  // unknown round
-		{MsgCDPSMCommit, CDPSMCommitBody{Round: 99}},      // unknown round
-		{MsgAssign, AssignBody{Round: 99}},                // unknown round
-		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}}, // negative size
-		{MsgAllocation, nil},                              // replicas don't take allocations
+		{MsgClientRequest, RequestBody{}},                                                     // empty addr/demand
+		{MsgClientRequest, RequestBody{ClientAddr: "x"}},                                      // zero demand
+		{MsgRoundStart, "garbage"},                                                            // undecodable
+		{MsgRoundStart, RoundSpec{Round: 1}},                                                  // empty spec
+		{MsgLocalSolve, LocalSolveBody{Round: 99}},                                            // unknown round
+		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},                                              // unknown round
+		{MsgCDPSMEstimate, CDPSMEstimateBody{Round: 99}},                                      // unknown round
+		{MsgCDPSMCommit, CDPSMCommitBody{Round: 99}},                                          // unknown round
+		{MsgAssign, AssignBody{Round: 99}},                                                    // empty full-form plan
+		{MsgAssign, AssignBody{Round: 5, BaseRound: 42, Updates: map[string]float64{"c": 1}}}, // unknown base round
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}},                                     // negative size
+		{MsgAllocation, nil},                                                                  // replicas don't take allocations
 	}
 	for _, tc := range cases {
 		if _, err := sendRaw(t, f, addr, tc.msgType, tc.body); err == nil {
@@ -152,5 +161,40 @@ func TestRoundStartForUnlistedReplicaRejected(t *testing.T) {
 	}
 	if _, err := sendRaw(t, f, f.replicas[0].Addr(), MsgRoundStart, spec); err == nil {
 		t.Error("round start without this replica in the column list accepted")
+	}
+}
+
+// An install creates a round's participant state, but not a problem to
+// iterate on: engine verbs addressed to an install-only round are
+// rejected, as are engine requests that do not carry the binary body the
+// dispatcher routes by.
+func TestEngineVerbsNeedRoundStartAndBinaryBody(t *testing.T) {
+	f := newFleet(t, []float64{1, 2}, 1, LDDM)
+	ctx := context.Background()
+	target := f.replicas[1].Addr()
+	if _, err := sendRaw(t, f, target, MsgAssign, AssignBody{Round: 7, Column: []float64{4}, ClientAddrs: []string{"c1"}}); err != nil {
+		t.Fatalf("install without a round start rejected: %v", err)
+	}
+	if got := f.replicas[1].Plan(7, "c1"); got != 4 {
+		t.Fatalf("Plan(7, c1) = %g, want 4", got)
+	}
+	if _, err := sendRaw(t, f, target, MsgLocalSolve, LocalSolveBody{Round: 7, Iter: 1, Mu: []float64{0}}); err == nil {
+		t.Error("engine verb to an install-only round accepted")
+	}
+
+	// Round 1 is a real round with one client: a binary local solve is
+	// served, the same request with a JSON body is not.
+	if err := f.clients[0].Submit(ctx, f.replicas[0].Addr(), 10, f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.replicas[0].RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sendRaw(t, f, target, MsgLocalSolve, LocalSolveBody{Round: 1, Iter: 1, Mu: []float64{0}}); err != nil {
+		t.Fatalf("binary local solve rejected: %v", err)
+	}
+	jsonMsg := transport.Message{Type: MsgLocalSolve, Body: []byte(`{"round":1,"iter":1,"mu":[0]}`)}
+	if _, err := sendRawMsg(t, f, target, jsonMsg); err == nil {
+		t.Error("JSON-bodied engine verb accepted")
 	}
 }

@@ -81,16 +81,17 @@ type lastGoodRound struct {
 	// installed is the assignment actually fanned out to replica round
 	// state, and installedRound the round id it was installed under.
 	// Usually identical to assignment, but a clean incremental commit
-	// (commitClean) rescales rows without re-installing anything, so the
-	// two can drift apart; the delta install diffs against installed —
-	// what replicas really hold — never against assignment.
+	// rescales rows without re-installing anything, so the two can drift
+	// apart; the delta install diffs against installed — what replicas
+	// really hold — never against assignment.
 	installed      [][]float64
 	installedRound int
 }
 
 // roundState is the participant-side view of one round: the engine's
 // ServerRound (problem, column, lazily-built per-algorithm state) plus the
-// installed serving plan.
+// installed serving plan. eng is nil for a round that was installed
+// without a round start (incremental and degraded rounds).
 type roundState struct {
 	eng *engine.ServerRound
 
@@ -322,12 +323,11 @@ func (r *ReplicaServer) handle(ctx context.Context, req transport.Message) (tran
 }
 
 // handleEngine dispatches an algorithm verb to its registered server
-// half. Every algorithm body carries the round id, which locates the
-// participant state the server half operates on. The reply mirrors the
-// request's codec (transport.NewReply), so JSON-only initiators keep
-// interoperating with binary-capable participants.
+// half. Every algorithm body is binary and leads with the round id, which
+// locates the participant state the server half operates on; a round that
+// was only installed (no round start) has no problem to iterate on.
 func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registration, req transport.Message) (transport.Message, error) {
-	round, err := engineRound(req)
+	round, err := transport.BinaryRound(req)
 	if err != nil {
 		return transport.Message{}, err
 	}
@@ -335,37 +335,14 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 	if err != nil {
 		return transport.Message{}, err
 	}
+	if st.eng == nil {
+		return transport.Message{}, fmt.Errorf("core: replica %s: round %d was installed without a round start", r.Addr(), round)
+	}
 	body, err := reg.Server.Handle(ctx, req.Type, msgReply{req}, st.eng)
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return transport.NewReply(req, req.Type+".ack", r.Addr(), body)
-}
-
-// engineRound extracts the round id an algorithm request body carries:
-// binary bodies lead with it by wire convention (no full decode needed),
-// JSON bodies name it "round".
-func engineRound(req transport.Message) (int, error) {
-	if len(req.Bin) > 0 {
-		return transport.BinaryRound(req)
-	}
-	var hdr struct {
-		Round int `json:"round"`
-	}
-	if err := req.DecodeBody(&hdr); err != nil {
-		return 0, err
-	}
-	return hdr.Round, nil
-}
-
-// newMessage builds an outgoing message, honoring the WireJSON knob: by
-// default bodies that support it ship the compact binary codec; WireJSON
-// pins everything this node initiates to JSON.
-func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, error) {
-	if r.cfg.WireJSON {
-		return transport.NewJSONMessage(msgType, r.Addr(), v)
-	}
-	return transport.NewMessage(msgType, r.Addr(), v)
+	return transport.NewMessage(req.Type+".ack", r.Addr(), body)
 }
 
 // peerSender is the fabric handle an algorithm's server half uses to reach
@@ -374,7 +351,7 @@ func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, er
 type peerSender struct{ r *ReplicaServer }
 
 func (p peerSender) Send(ctx context.Context, to, verb string, body any) (engine.Reply, error) {
-	req, err := p.r.newMessage(verb, body)
+	req, err := transport.NewMessage(verb, p.r.Addr(), body)
 	if err != nil {
 		return nil, err
 	}
@@ -461,6 +438,15 @@ func (r *ReplicaServer) handleReplicaInfo(req transport.Message) (transport.Mess
 	})
 }
 
+// replicaAddrs lists the replicas' addresses in column order.
+func replicaAddrs(infos []ReplicaInfo) []string {
+	addrs := make([]string, len(infos))
+	for j, info := range infos {
+		addrs[j] = info.Addr
+	}
+	return addrs
+}
+
 // specProblem reconstructs the optimization instance a RoundSpec describes.
 func specProblem(spec *RoundSpec) (*opt.Problem, error) {
 	replicas := make([]model.Replica, len(spec.Replicas))
@@ -511,10 +497,6 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 	if myCol < 0 {
 		return transport.Message{}, fmt.Errorf("core: replica %s not listed in round %d", r.Addr(), spec.Round)
 	}
-	replicaAddrs := make([]string, len(spec.Replicas))
-	for j, info := range spec.Replicas {
-		replicaAddrs[j] = info.Addr
-	}
 	// Algorithm-specific participant state is built lazily by each server
 	// half on first use (engine.ServerRound.State), so a round pays only
 	// for the algorithm actually driven over it.
@@ -523,7 +505,7 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		Prob:         prob,
 		Col:          myCol,
 		Self:         r.Addr(),
-		ReplicaAddrs: replicaAddrs,
+		ReplicaAddrs: replicaAddrs(spec.Replicas),
 		Warm:         spec.Warm,
 		Peers:        peerSender{r},
 		Par:          r.par,
@@ -546,27 +528,23 @@ func (r *ReplicaServer) lookupRound(round int) (*roundState, error) {
 }
 
 // handleAssign installs the final serving plan — either a full column or
-// a delta against an earlier round's installed plan (see AssignBody).
+// a delta against an earlier round's installed plan (see AssignBody) —
+// creating the round's participant state when no round start made it.
 func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, error) {
 	var body AssignBody
 	if err := req.DecodeBody(&body); err != nil {
 		return transport.Message{}, err
 	}
-	st, err := r.lookupRound(body.Round)
-	if err != nil {
-		return transport.Message{}, err
-	}
 	var plan map[string]float64
 	if body.BaseRound > 0 {
-		base, err := r.lookupRound(body.BaseRound)
-		if err != nil {
-			return transport.Message{}, fmt.Errorf("core: delta assign round %d: %w", body.Round, err)
-		}
 		r.mu.Lock()
-		basePlan := base.plan
+		var basePlan map[string]float64
+		if base, ok := r.rounds[body.BaseRound]; ok {
+			basePlan = base.plan
+		}
 		r.mu.Unlock()
 		if basePlan == nil {
-			return transport.Message{}, fmt.Errorf("core: delta assign round %d: round %d has no installed plan", body.Round, body.BaseRound)
+			return transport.Message{}, fmt.Errorf("core: replica %s: delta assign round %d: round %d has no installed plan", r.Addr(), body.Round, body.BaseRound)
 		}
 		plan = make(map[string]float64, len(basePlan)+len(body.Updates))
 		for addr, mb := range basePlan {
@@ -580,6 +558,9 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 			}
 		}
 	} else {
+		if len(body.ClientAddrs) == 0 {
+			return transport.Message{}, fmt.Errorf("core: replica %s: assign round %d names no clients", r.Addr(), body.Round)
+		}
 		if len(body.Column) != len(body.ClientAddrs) {
 			return transport.Message{}, fmt.Errorf("core: assign round %d: %d amounts for %d clients", body.Round, len(body.Column), len(body.ClientAddrs))
 		}
@@ -591,6 +572,11 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 		}
 	}
 	r.mu.Lock()
+	st, ok := r.rounds[body.Round]
+	if !ok {
+		st = &roundState{}
+		r.rounds[body.Round] = st
+	}
 	st.plan = plan
 	r.mu.Unlock()
 	return transport.NewMessage(MsgAssign+".ack", r.Addr(), nil)

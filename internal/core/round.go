@@ -125,7 +125,7 @@ func (r *ReplicaServer) sendMsg(ctx context.Context, to string, req transport.Me
 // SendRetries times with exponential backoff and jitter. The body is
 // marshaled once; retries resend the identical bytes.
 func (r *ReplicaServer) sendRetry(ctx context.Context, to, msgType string, body any) (transport.Message, error) {
-	req, err := r.newMessage(msgType, body)
+	req, err := transport.NewMessage(msgType, r.Addr(), body)
 	if err != nil {
 		return transport.Message{}, err
 	}
@@ -350,24 +350,21 @@ func (r *ReplicaServer) degradedRound(ctx context.Context, requests []*RequestBo
 	// member the failure was attributed to (unreachable right now, though
 	// possibly still alive).
 	var cols []int
+	var infos []ReplicaInfo
 	for j, info := range lg.infos {
 		if info.Addr != failedAddr && r.ring.Contains(info.Addr) && !r.member.IsDrained(info.Addr) {
 			cols = append(cols, j)
+			infos = append(infos, info)
 		}
 	}
 	if len(cols) == 0 {
 		return nil, false
 	}
-	infos := make([]ReplicaInfo, len(cols))
-	replicaAddrs := make([]string, len(cols))
-	for jj, j := range cols {
-		infos[jj] = lg.infos[j]
-		replicaAddrs[jj] = lg.infos[j].Addr
-	}
 	rowOf := make(map[string]int, len(lg.clientAddrs))
 	for i, addr := range lg.clientAddrs {
 		rowOf[addr] = i
 	}
+	spec := r.buildSpec(r.nextRound(), requests, infos)
 
 	// Renormalize per client (shared warm-start kernel): keep the
 	// last-good proportions across the surviving replicas; clients with
@@ -375,20 +372,15 @@ func (r *ReplicaServer) degradedRound(ctx context.Context, requests []*RequestBo
 	// spread uniformly over their latency-feasible columns, and cap
 	// excess is redistributed onto replicas with headroom.
 	weights := opt.NewMatrix(len(requests), len(cols))
-	demands := make([]float64, len(requests))
-	clientAddrs := make([]string, len(requests))
 	caps := make([]float64, len(cols))
 	for jj := range cols {
 		caps[jj] = infos[jj].Bandwidth
 	}
 	allowed := make([][]bool, len(requests))
 	for i, req := range requests {
-		clientAddrs[i] = req.ClientAddr
-		demands[i] = req.DemandMB
 		allowed[i] = make([]bool, len(cols))
 		for jj := range cols {
-			l, ok := req.LatencySec[infos[jj].Addr]
-			allowed[i][jj] = ok && l <= r.cfg.MaxLatencySec
+			allowed[i][jj] = spec.LatencySec[i][jj] <= r.cfg.MaxLatencySec
 		}
 		if row, ok := rowOf[req.ClientAddr]; ok {
 			for jj, j := range cols {
@@ -396,57 +388,28 @@ func (r *ReplicaServer) degradedRound(ctx context.Context, requests []*RequestBo
 			}
 		}
 	}
-	assignment := opt.Renormalize(weights, demands, caps, allowed)
-
-	r.mu.Lock()
-	r.roundSeq++
-	round := r.roundSeq
-	r.mu.Unlock()
+	assignment := opt.Renormalize(weights, spec.Demands, caps, allowed)
 
 	// Install the plan and notify the clients best-effort: a replica we
 	// cannot reach keeps its previous plan, which is exactly the fallback
 	// we are re-publishing.
-	_ = engine.FanOut(ctx, len(cols), func(ctx context.Context, jj int) error {
-		col := make([]float64, len(clientAddrs))
-		for i := range clientAddrs {
-			col[i] = assignment[i][jj]
-		}
-		body := AssignBody{Round: round, Column: col, ClientAddrs: clientAddrs}
-		_, _ = r.sendRetry(ctx, replicaAddrs[jj], MsgAssign, body)
-		return nil
-	})
-	r.notifyClients(ctx, round, clientAddrs, infos, assignment, 0)
+	_ = r.installPlan(ctx, infos, denseInstall(spec.Round, spec.ClientAddrs, assignment), true)
+	r.notifyMoved(ctx, spec.Round, spec.ClientAddrs, infos, assignment, nil, nil, 0)
 
 	// The objective is recomputed from the cached energy models when
 	// possible; a failure here degrades the report, not the round.
 	objective := 0.0
-	spec := RoundSpec{Round: round, Replicas: infos, MaxLatencySec: r.cfg.MaxLatencySec}
-	for i, req := range requests {
-		spec.ClientAddrs = append(spec.ClientAddrs, req.ClientAddr)
-		spec.Demands = append(spec.Demands, req.DemandMB)
-		row := make([]float64, len(infos))
-		for j, info := range infos {
-			if l, ok := req.LatencySec[info.Addr]; ok {
-				row[j] = l
-			} else {
-				row[j] = 10 * r.cfg.MaxLatencySec
-			}
-		}
-		spec.LatencySec = append(spec.LatencySec, row)
-		_ = i
-	}
 	if prob, err := specProblem(&spec); err == nil {
 		objective = prob.Cost(assignment)
 	}
 
 	r.Stats.RoundsDegraded.Inc(1)
 	return &RoundReport{
-		Round:        round,
+		Round:        spec.Round,
 		Algorithm:    r.cfg.Algorithm.String(),
-		Iterations:   0,
 		Restarts:     restarts,
-		ReplicaAddrs: replicaAddrs,
-		ClientAddrs:  clientAddrs,
+		ReplicaAddrs: replicaAddrs(infos),
+		ClientAddrs:  spec.ClientAddrs,
 		Assignment:   assignment,
 		Objective:    objective,
 		Degraded:     true,
@@ -543,31 +506,8 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 	// diff stay aligned across rounds of a stable roster.
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Addr < infos[j].Addr })
 
-	// 2. Build the round spec: rows in request order, columns in address
-	// order. Latencies a client did not measure are treated as beyond the
-	// bound (the replica is not a candidate for that client).
-	r.mu.Lock()
-	r.roundSeq++
-	round := r.roundSeq
-	r.mu.Unlock()
-	spec := RoundSpec{
-		Round:         round,
-		Replicas:      infos,
-		MaxLatencySec: r.cfg.MaxLatencySec,
-	}
-	for _, req := range requests {
-		spec.ClientAddrs = append(spec.ClientAddrs, req.ClientAddr)
-		spec.Demands = append(spec.Demands, req.DemandMB)
-		row := make([]float64, len(infos))
-		for j, info := range infos {
-			if l, ok := req.LatencySec[info.Addr]; ok {
-				row[j] = l
-			} else {
-				row[j] = 10 * r.cfg.MaxLatencySec // unmeasured → infeasible
-			}
-		}
-		spec.LatencySec = append(spec.LatencySec, row)
-	}
+	// 2. Build the round spec and its problem.
+	spec := r.buildSpec(r.nextRound(), requests, infos)
 	prob, err := specProblem(&spec)
 	if err != nil {
 		return nil, err
@@ -580,50 +520,11 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 	// attempt with allowIncremental false.
 	if r.cfg.Incremental && allowIncremental {
 		if plan := r.planIncremental(requests, infos, prob); plan != nil {
-			return r.runIncremental(ctx, requests, infos, &spec, prob, plan, round, restarts)
+			return r.runIncremental(ctx, requests, &spec, prob, plan, restarts)
 		}
 	}
 
-	// Cohort aggregation: at client scale, merge clients sharing a
-	// feasibility mask and latency class into virtual clients and run the
-	// distributed loop on the reduced instance. The objective depends on
-	// an assignment only through per-replica column sums, so the reduced
-	// optimum matches the ungrouped one and disaggregation loses nothing
-	// (see internal/cohort). The grouping is skipped when it would not
-	// compress — a round over distinct clients gains nothing from an
-	// extra indirection. Grouping goes through the cross-round registry:
-	// quiet rounds over a stable roster reuse the cached partition and
-	// primed sparsity outright, and surviving cohorts keep their relative
-	// order either way.
-	solveSpec, solveProb := &spec, prob
-	var grouping *cohort.Grouping
-	if min := r.cfg.CohortMinClients; min > 0 && len(requests) >= min {
-		g, _, gerr := r.registry.Group(prob, cohort.Options{
-			Quantum:    r.cfg.CohortQuantumSec,
-			MaxCohorts: r.cfg.CohortMax,
-		})
-		if gerr == nil && g.K() < prob.C() {
-			grouping = g
-			reduced := g.Reduced()
-			rspec := &RoundSpec{
-				Round:         round,
-				Replicas:      infos,
-				MaxLatencySec: r.cfg.MaxLatencySec,
-				RawClients:    len(requests),
-				Demands:       reduced.Demands,
-				LatencySec:    reduced.Latency,
-			}
-			// Each cohort's exchanges (LDDM μ updates, allocation rows)
-			// route to one representative member; cohorts are disjoint,
-			// so representatives are distinct and the client-side
-			// accumulators never collide.
-			rspec.ClientAddrs = make([]string, g.K())
-			for k := range rspec.ClientAddrs {
-				rspec.ClientAddrs[k] = spec.ClientAddrs[g.Members(k)[0]]
-			}
-			solveSpec, solveProb = rspec, reduced
-		}
-	}
+	solveSpec, solveProb, grouping := r.groupRound(&spec, prob)
 	if err := opt.CheckFeasible(solveProb); err != nil {
 		return nil, err
 	}
@@ -634,21 +535,14 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 	// is what makes epoch changes cheap — the round after a join or drain
 	// re-converges from the old split instead of from the uniform start.
 	// Cohorted rounds fold the per-client history into cohort rows (and
-	// per-client duals into demand-weighted cohort duals) first.
+	// per-client duals into demand-weighted cohort duals) first; the
+	// pooled buffers are done being read before Run releases them (the
+	// spec is marshaled at step 3; rd.Warm is consumed in Init).
 	var warmMu []float64
 	if !r.cfg.ColdStart {
 		warm, mu := r.warmStart(requests, infos, prob)
 		if grouping != nil && warm != nil {
-			// Packed fold: gather the per-client history straight into the
-			// cohorts' CSR slots, then scatter once into a pooled |K|×|N|
-			// matrix for the spec. No dense |C|×|N| intermediate, and the
-			// pooled buffers are done being read before Run releases them
-			// (the spec is marshaled at step 3; rd.Warm is consumed in Init).
-			_, redSp := grouping.Sparse()
-			warmPk := grouping.AggregateRowsPacked(warm, r.pool.Vector(redSp.NNZ()))
-			warmK := r.pool.Matrix(grouping.K(), prob.N())
-			redSp.Scatter(warmK, warmPk)
-			warm = warmK
+			warm = r.foldWarm(grouping, warm)
 			if mu != nil {
 				mu = grouping.AggregateDualsInto(mu, r.pool.Vector(grouping.K()))
 			}
@@ -675,10 +569,6 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", r.cfg.Algorithm)
 	}
-	replicaAddrs := make([]string, len(infos))
-	for j, info := range infos {
-		replicaAddrs[j] = info.Addr
-	}
 	trace := roundTrace{observe: r.cfg.Telemetry.Active()}
 	driver := &engine.Driver{
 		Transport: roundTransport{r},
@@ -686,9 +576,9 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 		OnIterate: func(_ int, residual, cost float64) { trace.add(residual, cost) },
 	}
 	rd := &engine.Round{
-		Seq:          round,
+		Seq:          spec.Round,
 		Prob:         solveProb,
-		ReplicaAddrs: replicaAddrs,
+		ReplicaAddrs: replicaAddrs(infos),
 		ClientAddrs:  solveSpec.ClientAddrs,
 		MaxIters:     r.cfg.MaxIters,
 		Tol:          r.cfg.Tol,
@@ -703,114 +593,254 @@ func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*Request
 		return nil, err
 	}
 
-	// 5. Disaggregate a cohorted result back to per-client granularity and
-	// install the final plan on replicas, then notify clients. Cohorted
-	// rounds stay packed between the engine and the install fan-out: the
-	// reduced assignment is gathered into its CSR slots, disaggregated
-	// slot-to-slot, and each replica's install column is materialized
-	// straight from the packed per-client vector through the CSC view —
-	// the only dense |C|×|N| matrix built is the one the report (and the
-	// warm-start history) needs anyway.
+	// 5. Install the final plan on the replicas, notify the clients, and
+	// commit. Cohorted rounds stay packed between the engine and the
+	// install fan-out: each replica's column is read straight from the
+	// packed per-client vector through the CSC view, and each cohort's
+	// members share one allocation message. The only dense |C|×|N| matrix
+	// built is the one the report (and the warm-start history) needs.
 	if grouping != nil {
-		fullSp, redSp := grouping.Sparse()
-		vk := redSp.Gather(nil, assignment)
-		xPk, derr := grouping.DisaggregatePacked(vk, nil)
-		if derr != nil {
-			return nil, derr
-		}
-		if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
-			col := make([]float64, len(spec.ClientAddrs))
-			for s := fullSp.ColStart[j]; s < fullSp.ColStart[j+1]; s++ {
-				col[fullSp.RowIdx[s]] = xPk[fullSp.PosCSR[s]]
-			}
-			body := AssignBody{Round: round, Column: col, ClientAddrs: spec.ClientAddrs}
-			_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, body)
-			return err
-		}); err != nil {
+		full := opt.NewMatrix(prob.C(), prob.N()) // escapes into the report
+		vk, xPk, err := disaggregateInto(grouping, assignment, full)
+		if err != nil {
 			return nil, err
 		}
-		r.notifyCohorts(ctx, round, spec.ClientAddrs, grouping, infos, vk, iterations)
-		full := opt.NewMatrix(len(spec.ClientAddrs), len(infos)) // escapes into the report
-		fullSp.Scatter(full, xPk)
+		fullSp, _ := grouping.Sparse()
+		if err := r.installPlan(ctx, infos, packedInstall(spec.Round, spec.ClientAddrs, fullSp, xPk), false); err != nil {
+			return nil, err
+		}
+		r.notifyCohorts(ctx, spec.Round, spec.ClientAddrs, grouping, infos, vk, iterations)
 		assignment = full
 	} else {
-		if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
-			col := make([]float64, len(spec.ClientAddrs))
-			for i := range spec.ClientAddrs {
-				col[i] = assignment[i][j]
-			}
-			body := AssignBody{Round: round, Column: col, ClientAddrs: spec.ClientAddrs}
-			_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, body)
-			return err
-		}); err != nil {
+		if err := r.installPlan(ctx, infos, denseInstall(spec.Round, spec.ClientAddrs, assignment), false); err != nil {
 			return nil, err
 		}
-		r.notifyClients(ctx, round, spec.ClientAddrs, infos, assignment, iterations)
+		r.notifyMoved(ctx, spec.Round, spec.ClientAddrs, infos, assignment, nil, nil, iterations)
 	}
 
-	// Remember this round as the fallback for degraded rounds and the seed
-	// for the next warm start (duals included when the algorithm reports
-	// them), and cache each participant's model parameters for the
-	// autoscaler's pricing signal.
+	// Keep the round's duals (when the algorithm reports them) for the
+	// next warm start. μ is a per-unit congestion price: every member of a
+	// cohort inherits its cohort's dual, so the next round's warm duals
+	// cover the full client set.
 	var mus map[string]float64
 	if dr, ok := alg.(engine.DualReporter); ok {
 		if duals := dr.Duals(); len(duals) == len(solveSpec.ClientAddrs) {
 			mus = make(map[string]float64, len(spec.ClientAddrs))
-			if grouping != nil {
-				// μ is a per-unit congestion price: every member of a
-				// cohort inherits its cohort's dual, so the next round's
-				// warm duals cover the full client set.
-				for k, v := range duals {
-					for _, c := range grouping.Members(k) {
-						mus[spec.ClientAddrs[c]] = v
-					}
+			for i, addr := range spec.ClientAddrs {
+				k := i
+				if grouping != nil {
+					k = grouping.CohortOf(i)
 				}
-				if r.cfg.CohortDuals {
-					r.fanOutCohortDuals(ctx, round, spec.ClientAddrs, grouping, duals)
-				}
-			} else {
-				for i, addr := range spec.ClientAddrs {
-					mus[addr] = duals[i]
-				}
+				mus[addr] = duals[k]
 			}
 		}
 	}
-	objective := prob.Cost(assignment)
-	r.mu.Lock()
-	r.lastGood = &lastGoodRound{
-		round:          round,
+	report := r.commitRound(&lastGoodRound{
+		round:          spec.Round,
 		infos:          infos,
 		clientAddrs:    spec.ClientAddrs,
 		assignment:     assignment,
 		mus:            mus,
 		prob:           prob,
-		objective:      objective,
+		objective:      prob.Cost(assignment),
 		installed:      assignment,
-		installedRound: round,
+		installedRound: spec.Round,
+	}, restarts, iterations, grouping)
+	report.WarmStarted = solveSpec.Warm != nil
+	report.Residuals, report.Costs = trace.residuals, trace.costs
+	return report, nil
+}
+
+// nextRound allocates the next initiator-local round id.
+func (r *ReplicaServer) nextRound() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.roundSeq++
+	return r.roundSeq
+}
+
+// buildSpec builds a round's per-client spec: rows in request order,
+// columns in infos order. Latencies a client did not measure are treated
+// as beyond the bound (the replica is not a candidate for that client).
+func (r *ReplicaServer) buildSpec(round int, requests []*RequestBody, infos []ReplicaInfo) RoundSpec {
+	spec := RoundSpec{
+		Round:         round,
+		Replicas:      infos,
+		MaxLatencySec: r.cfg.MaxLatencySec,
+		ClientAddrs:   make([]string, len(requests)),
+		Demands:       make([]float64, len(requests)),
+		LatencySec:    make([][]float64, len(requests)),
 	}
-	for _, info := range infos {
+	for i, req := range requests {
+		spec.ClientAddrs[i] = req.ClientAddr
+		spec.Demands[i] = req.DemandMB
+		row := make([]float64, len(infos))
+		for j, info := range infos {
+			if l, ok := req.LatencySec[info.Addr]; ok {
+				row[j] = l
+			} else {
+				row[j] = 10 * r.cfg.MaxLatencySec // unmeasured → infeasible
+			}
+		}
+		spec.LatencySec[i] = row
+	}
+	return spec
+}
+
+// groupRound applies cohort aggregation to a round's instance: at client
+// scale, clients sharing a feasibility mask and latency class merge into
+// virtual clients and the round solves the reduced instance. The objective
+// depends on an assignment only through per-replica column sums, so the
+// reduced optimum matches the ungrouped one and disaggregation loses
+// nothing (see internal/cohort). Grouping goes through the cross-round
+// registry: quiet rounds over a stable roster reuse the cached partition
+// and primed sparsity outright, and surviving cohorts keep their relative
+// order either way. The instance comes back unchanged, with a nil
+// grouping, below the CohortMinClients threshold or when grouping would
+// not compress.
+func (r *ReplicaServer) groupRound(spec *RoundSpec, prob *opt.Problem) (*RoundSpec, *opt.Problem, *cohort.Grouping) {
+	if min := r.cfg.CohortMinClients; min <= 0 || prob.C() < min {
+		return spec, prob, nil
+	}
+	g, _, err := r.registry.Group(prob, cohort.Options{
+		Quantum:    r.cfg.CohortQuantumSec,
+		MaxCohorts: r.cfg.CohortMax,
+	})
+	if err != nil || g.K() >= prob.C() {
+		return spec, prob, nil
+	}
+	reduced := g.Reduced()
+	rspec := &RoundSpec{
+		Round:         spec.Round,
+		Replicas:      spec.Replicas,
+		ClientAddrs:   make([]string, g.K()),
+		MaxLatencySec: spec.MaxLatencySec,
+		RawClients:    prob.C(),
+		Demands:       reduced.Demands,
+		LatencySec:    reduced.Latency,
+	}
+	// Each cohort's exchanges (LDDM μ updates) route to one representative
+	// member; cohorts are disjoint, so representatives are distinct and the
+	// client-side accumulators never collide.
+	for k := range rspec.ClientAddrs {
+		rspec.ClientAddrs[k] = spec.ClientAddrs[g.Members(k)[0]]
+	}
+	return rspec, reduced, g
+}
+
+// foldWarm folds a per-client warm start into cohort rows: the history is
+// gathered straight into the cohorts' CSR slots and scattered once into a
+// pooled |K|×|N| matrix, with no dense |C|×|N| intermediate.
+func (r *ReplicaServer) foldWarm(g *cohort.Grouping, warm [][]float64) [][]float64 {
+	_, redSp := g.Sparse()
+	pk := g.AggregateRowsPacked(warm, r.pool.Vector(redSp.NNZ()))
+	out := r.pool.Matrix(g.K(), redSp.N)
+	redSp.Scatter(out, pk)
+	return out
+}
+
+// disaggregateInto maps a cohort-level assignment back to per-client rows
+// of dst: gathered into the cohorts' CSR slots, split slot-to-slot, and
+// scattered into dst. It returns the packed cohort-level (vk) and
+// per-client (xPk) vectors for the install and notify fan-outs.
+func disaggregateInto(g *cohort.Grouping, xk, dst [][]float64) (vk, xPk []float64, err error) {
+	fullSp, redSp := g.Sparse()
+	vk = redSp.Gather(nil, xk)
+	xPk, err = g.DisaggregatePacked(vk, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	fullSp.Scatter(dst, xPk)
+	return vk, xPk, nil
+}
+
+// An installSource yields replica j's install body for a round.
+type installSource func(j int) AssignBody
+
+// denseInstall installs full columns read from a dense per-client matrix.
+func denseInstall(round int, clientAddrs []string, x [][]float64) installSource {
+	return func(j int) AssignBody {
+		col := make([]float64, len(clientAddrs))
+		for i := range clientAddrs {
+			col[i] = x[i][j]
+		}
+		return AssignBody{Round: round, Column: col, ClientAddrs: clientAddrs}
+	}
+}
+
+// packedInstall installs full columns read from a packed per-client vector
+// (CSR order) through its sparsity's CSC view.
+func packedInstall(round int, clientAddrs []string, sp *opt.Sparsity, xPk []float64) installSource {
+	return func(j int) AssignBody {
+		col := make([]float64, len(clientAddrs))
+		for s := sp.ColStart[j]; s < sp.ColStart[j+1]; s++ {
+			col[sp.RowIdx[s]] = xPk[sp.PosCSR[s]]
+		}
+		return AssignBody{Round: round, Column: col, ClientAddrs: clientAddrs}
+	}
+}
+
+// deltaInstall installs, against the plan installed under round base, only
+// the entries of x that differ from prev (the base plan's rows in this
+// round's order; a nil row is a client the base never held), and removes
+// the departed clients.
+func deltaInstall(round, base int, clientAddrs []string, x, prev [][]float64, departed []string) installSource {
+	return func(j int) AssignBody {
+		updates := make(map[string]float64)
+		for i, addr := range clientAddrs {
+			if p := prev[i]; p == nil || x[i][j] != p[j] {
+				updates[addr] = x[i][j]
+			}
+		}
+		for _, addr := range departed {
+			updates[addr] = 0
+		}
+		return AssignBody{Round: round, BaseRound: base, Updates: updates}
+	}
+}
+
+// installPlan fans a round's final plan out to every replica. Installs
+// create the replicas' round state, so no round start has to precede
+// them. A failed install fails the round with member attribution; a
+// best-effort install (degraded rounds) ignores failures instead — an
+// unreachable replica keeps its previous plan.
+func (r *ReplicaServer) installPlan(ctx context.Context, infos []ReplicaInfo, src installSource, bestEffort bool) error {
+	return engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
+		_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, src(j))
+		if bestEffort {
+			return nil
+		}
+		return err
+	})
+}
+
+// commitRound makes lg the last-known-good round — the degraded fallback,
+// the next warm start's seed and the incremental diff's base — caches its
+// participants' model parameters for the autoscaler's pricing signal, and
+// builds the round's report. g is the round's cohort grouping (nil when
+// the round solved at client granularity).
+func (r *ReplicaServer) commitRound(lg *lastGoodRound, restarts, iterations int, g *cohort.Grouping) *RoundReport {
+	r.mu.Lock()
+	r.lastGood = lg
+	for _, info := range lg.infos {
 		r.infoCache[info.Addr] = info
 	}
 	r.mu.Unlock()
-
 	report := &RoundReport{
-		Round:        round,
+		Round:        lg.round,
 		Algorithm:    r.cfg.Algorithm.String(),
 		Iterations:   iterations,
 		Restarts:     restarts,
-		ReplicaAddrs: replicaAddrs,
-		ClientAddrs:  spec.ClientAddrs,
-		Assignment:   assignment,
-		Objective:    objective,
-		WarmStarted:  solveSpec.Warm != nil,
-		Residuals:    trace.residuals,
-		Costs:        trace.costs,
+		ReplicaAddrs: replicaAddrs(lg.infos),
+		ClientAddrs:  lg.clientAddrs,
+		Assignment:   lg.assignment,
+		Objective:    lg.objective,
 	}
-	if grouping != nil {
-		report.Cohorts = grouping.K()
-		report.CohortRatio = grouping.Ratio()
+	if g != nil {
+		report.Cohorts = g.K()
+		report.CohortRatio = g.Ratio()
 	}
-	return report, nil
+	return report
 }
 
 // warmStart builds the round's warm-start matrix (and, when the previous
@@ -884,14 +914,33 @@ func (r *ReplicaServer) warmStart(requests []*RequestBody, infos []ReplicaInfo, 
 	return opt.Renormalize(weights, prob.Demands, caps, prob.Allowed()), warmMu
 }
 
-// notifyClients delivers each client its allocation. Client failures never
-// abort a round: the other clients' allocations stand.
-func (r *ReplicaServer) notifyClients(ctx context.Context, round int, clientAddrs []string, infos []ReplicaInfo, assignment [][]float64, iterations int) {
-	_ = engine.FanOut(ctx, len(clientAddrs), func(ctx context.Context, i int) error {
+// notifyMoved delivers clients their allocation rows. With prev nil every
+// client is notified; otherwise the fan-out is change-suppressed: a client
+// is notified only when some entry of its row moved beyond DeltaEps of its
+// demand against prev[i], what it was last told (clients with a nil prev
+// row are always notified). Returns the number of suppressed clients.
+// Client failures never abort a round: the other allocations stand.
+func (r *ReplicaServer) notifyMoved(ctx context.Context, round int, clientAddrs []string, infos []ReplicaInfo, x [][]float64, prev [][]float64, demands []float64, iterations int) int {
+	moved := make([]int, 0, len(clientAddrs))
+	for i := range clientAddrs {
+		if prev == nil || prev[i] == nil {
+			moved = append(moved, i)
+			continue
+		}
+		tol := r.cfg.DeltaEps * math.Max(demands[i], 1e-12)
+		for j, v := range x[i] {
+			if math.Abs(v-prev[i][j]) > tol {
+				moved = append(moved, i)
+				break
+			}
+		}
+	}
+	_ = engine.FanOut(ctx, len(moved), func(ctx context.Context, t int) error {
+		i := moved[t]
 		per := make(map[string]float64, len(infos))
 		for j, info := range infos {
-			if assignment[i][j] > 0 {
-				per[info.Addr] = assignment[i][j]
+			if x[i][j] > 0 {
+				per[info.Addr] = x[i][j]
 			}
 		}
 		body := AllocationBody{
@@ -903,46 +952,7 @@ func (r *ReplicaServer) notifyClients(ctx context.Context, round int, clientAddr
 		_, _ = r.sendRetry(ctx, clientAddrs[i], MsgAllocation, body)
 		return nil
 	})
-}
-
-// fanOutCohortDuals delivers each cohort's final dual μ to its
-// non-representative members (the representative already owns μ through
-// the iteration protocol). The body is built and marshaled once per
-// cohort. Members that reject the verb — clients predating it — get a
-// legacy μ-update instead: their accumulator for this round is untouched
-// (only representatives receive in-round updates), so a single step-1
-// update with served=μ and demand=0 lands the same absolute value.
-// Failures never abort the round.
-func (r *ReplicaServer) fanOutCohortDuals(ctx context.Context, round int, clientAddrs []string, g *cohort.Grouping, duals []float64) {
-	if len(duals) < g.K() {
-		return
-	}
-	type target struct{ i, k int }
-	var targets []target
-	msgs := make([]transport.Message, g.K())
-	for k := 0; k < g.K(); k++ {
-		mem := g.Members(k)
-		if len(mem) < 2 {
-			continue
-		}
-		if msg, err := r.newMessage(MsgCohortDuals, CohortDualsBody{Round: round, Mu: duals[k]}); err == nil {
-			msgs[k] = msg
-		}
-		for _, c := range mem[1:] {
-			targets = append(targets, target{c, k})
-		}
-	}
-	_ = engine.FanOut(ctx, len(targets), func(ctx context.Context, t int) error {
-		tg := targets[t]
-		if msgs[tg.k].Type != "" {
-			if _, err := r.sendMsgRetry(ctx, clientAddrs[tg.i], msgs[tg.k]); err == nil || ctx.Err() != nil {
-				return nil
-			}
-		}
-		body := MuUpdateBody{Round: round, Step: 1, ServedMB: duals[tg.k], DemandMB: 0}
-		_, _ = r.sendRetry(ctx, clientAddrs[tg.i], MsgMuUpdate, body)
-		return nil
-	})
+	return len(clientAddrs) - len(moved)
 }
 
 // notifyCohorts is the cohorted-round allocation fan-out: every member of a
@@ -951,14 +961,10 @@ func (r *ReplicaServer) fanOutCohortDuals(ctx context.Context, round int, client
 // locally by scaling with its own submitted demand. The body is built and
 // marshaled once per cohort instead of once per client, which is what makes
 // the notify phase scale with |K| work + |C| sends rather than |C| marshals
-// of |N|-entry maps. Clients that do not understand the verb (wire compat
-// with older fleets) get the legacy per-client allocation as a fallback.
-// Failures never abort the round.
+// of |N|-entry maps. Failures never abort the round.
 func (r *ReplicaServer) notifyCohorts(ctx context.Context, round int, clientAddrs []string, g *cohort.Grouping, infos []ReplicaInfo, vk []float64, iterations int) {
 	_, redSp := g.Sparse()
 	msgs := make([]transport.Message, g.K())
-	units := make([][]float64, g.K()) // kept for the legacy fallback
-	reps := make([][]string, g.K())
 	for k := 0; k < g.K(); k++ {
 		kb, ke := redSp.RowStart[k], redSp.RowStart[k+1]
 		w := ke - kb
@@ -983,43 +989,22 @@ func (r *ReplicaServer) notifyCohorts(ctx context.Context, round int, clientAddr
 				unit[t] = 1 / float64(w)
 			}
 		}
-		body := CohortAllocationBody{
+		msg, err := transport.NewMessage(MsgCohortAllocation, r.Addr(), CohortAllocationBody{
 			Round:      round,
 			Algorithm:  r.cfg.Algorithm.String(),
 			Iterations: iterations,
 			Replicas:   addrs,
 			UnitMB:     unit,
-		}
-		msg, err := r.newMessage(MsgCohortAllocation, body)
+		})
 		if err != nil {
-			continue // msgs[k].Type stays empty → members fall back below
+			continue // msgs[k].Type stays empty: the cohort goes unnotified
 		}
-		msgs[k], units[k], reps[k] = msg, unit, addrs
+		msgs[k] = msg
 	}
 	_ = engine.FanOut(ctx, len(clientAddrs), func(ctx context.Context, i int) error {
-		k := g.CohortOf(i)
-		if msgs[k].Type != "" {
-			if _, err := r.sendMsgRetry(ctx, clientAddrs[i], msgs[k]); err == nil {
-				return nil
-			} else if ctx.Err() != nil {
-				return nil
-			}
+		if msg := msgs[g.CohortOf(i)]; msg.Type != "" {
+			_, _ = r.sendMsgRetry(ctx, clientAddrs[i], msg)
 		}
-		// Legacy fallback: reconstruct this member's per-replica map the
-		// same way the cohort-aware client would.
-		per := make(map[string]float64, len(reps[k]))
-		for t, addr := range reps[k] {
-			if v := units[k][t] * g.Orig().Demands[i]; v > 0 {
-				per[addr] = v
-			}
-		}
-		body := AllocationBody{
-			Round:        round,
-			PerReplicaMB: per,
-			Algorithm:    r.cfg.Algorithm.String(),
-			Iterations:   iterations,
-		}
-		_, _ = r.sendRetry(ctx, clientAddrs[i], MsgAllocation, body)
 		return nil
 	})
 }

@@ -72,35 +72,6 @@ func runOneRound(t *testing.T, f *fleet) *RoundReport {
 	return report
 }
 
-// A JSON-only node must interoperate with binary-capable peers: replies
-// mirror the request codec, so the WireJSON initiator only ever sees JSON
-// bodies while its peers keep talking binary among themselves. CDPSM is
-// the matrix-heavy verb set, so it covers the codec-bearing exchanges.
-func TestRoundJSONOnlyInitiatorInteroperates(t *testing.T) {
-	f := newFleetCfg(t, []float64{1, 10, 5}, 3, CDPSM, func(i int, cfg *ReplicaConfig) {
-		if i == 0 {
-			cfg.WireJSON = true
-		}
-	})
-	report := runOneRound(t, f)
-	if report.Algorithm != "CDPSM" {
-		t.Fatalf("algorithm = %q", report.Algorithm)
-	}
-}
-
-// An all-JSON fleet exercises the pre-codec wire format end to end — the
-// compatibility mode -wire-json promises.
-func TestRoundAllJSONWire(t *testing.T) {
-	for _, alg := range []Algorithm{LDDM, CDPSM, ADMM} {
-		t.Run(alg.String(), func(t *testing.T) {
-			f := newFleetCfg(t, []float64{1, 10, 5}, 3, alg, func(i int, cfg *ReplicaConfig) {
-				cfg.WireJSON = true
-			})
-			runOneRound(t, f)
-		})
-	}
-}
-
 // A fleet with explicit solver parallelism runs live rounds through the
 // parallel kernels; under the CI -race step this doubles as the data-race
 // check on the fan-out paths.

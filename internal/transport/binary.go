@@ -26,10 +26,8 @@ import (
 //	[u16 BE  len(From)] [From]
 //	[body bytes]
 //
-// Codec negotiation is per message: a node sends binary whenever the body
-// type supports it, and replies always mirror the request's codec
-// (NewReply), so a JSON-only peer keeps interoperating — its JSON
-// requests get JSON replies, and DecodeBody accepts either direction.
+// Codec choice is per message: a node sends binary whenever the body type
+// supports it (NewMessage), and DecodeBody accepts either codec.
 // Body convention: every engine *request* body starts with its u32 LE
 // round id, so the replica dispatcher can route a binary body without
 // decoding it.

@@ -115,41 +115,6 @@ func TestJSONFramesUnchangedByBinarySupport(t *testing.T) {
 	}
 }
 
-func TestNewReplyMirrorsRequestCodec(t *testing.T) {
-	body := matrixBody{Round: 3, M: testMatrix(2, 2)}
-
-	jsonReq, err := NewJSONMessage("replica.cdpsm.estimate", "replica-1", map[string]int{"round": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := NewReply(jsonReq, "replica.cdpsm.estimate.ack", "replica-2", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Bin) != 0 || len(reply.Body) == 0 {
-		t.Fatalf("reply to a JSON request used binary (Bin=%d Body=%d)", len(reply.Bin), len(reply.Body))
-	}
-	var got matrixBody
-	if err := reply.DecodeBody(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, body) {
-		t.Fatalf("JSON reply decode mismatch: %+v", got)
-	}
-
-	binReq, err := NewMessage("replica.cdpsm.estimate", "replica-1", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err = NewReply(binReq, "replica.cdpsm.estimate.ack", "replica-2", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Bin) == 0 {
-		t.Fatal("reply to a binary request fell back to JSON")
-	}
-}
-
 func TestDecodeBodyRejectsBinaryIntoPlainStruct(t *testing.T) {
 	msg, err := NewMessage("x", "n", matrixBody{Round: 1, M: testMatrix(1, 1)})
 	if err != nil {

@@ -42,39 +42,17 @@ func (m Message) BodyLen() int { return len(m.Body) + len(m.Bin) }
 // the compact binary codec when v implements encoding.BinaryMarshaler and
 // falling back to JSON otherwise. A nil v leaves the body empty.
 func NewMessage(msgType, from string, v any) (Message, error) {
-	if bm, ok := v.(encoding.BinaryMarshaler); ok {
-		b, err := bm.MarshalBinary()
-		if err != nil {
-			return Message{}, fmt.Errorf("transport: marshal %s body: %w", msgType, err)
-		}
-		return Message{Type: msgType, From: from, Bin: b}, nil
-	}
-	return NewJSONMessage(msgType, from, v)
-}
-
-// NewJSONMessage builds a Message with a JSON body regardless of codec
-// support — for peers (or configurations) that speak only JSON.
-func NewJSONMessage(msgType, from string, v any) (Message, error) {
 	m := Message{Type: msgType, From: from}
-	if v != nil {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return Message{}, fmt.Errorf("transport: marshal %s body: %w", msgType, err)
-		}
-		m.Body = b
+	var err error
+	if bm, ok := v.(encoding.BinaryMarshaler); ok {
+		m.Bin, err = bm.MarshalBinary()
+	} else if v != nil {
+		m.Body, err = json.Marshal(v)
+	}
+	if err != nil {
+		return Message{}, fmt.Errorf("transport: marshal %s body: %w", msgType, err)
 	}
 	return m, nil
-}
-
-// NewReply builds a response mirroring the request's codec: a binary
-// request gets a binary reply (when v supports it), a JSON request always
-// gets a JSON reply. This is the negotiation rule that keeps JSON-only
-// peers working — they never receive bytes they cannot decode.
-func NewReply(req Message, msgType, from string, v any) (Message, error) {
-	if len(req.Bin) > 0 {
-		return NewMessage(msgType, from, v)
-	}
-	return NewJSONMessage(msgType, from, v)
 }
 
 // DecodeBody unmarshals the message body into v, from whichever codec the
